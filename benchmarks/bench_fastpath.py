@@ -41,18 +41,20 @@ def test_fastpath_64k_speedup(bench_key, emit):
     # then time each as min-of-2 — symmetric conditions keep the gate
     # honest.
     warm = encrypt_packet(PAYLOAD, bench_key, nonce=_NONCE, engine="fast")
-    encrypt_packet(PAYLOAD, bench_key, nonce=_NONCE)
+    encrypt_packet(PAYLOAD, bench_key, nonce=_NONCE, engine="reference")
 
     t_enc_ref, packet = _best_of(
-        lambda: encrypt_packet(PAYLOAD, bench_key, nonce=_NONCE), 2)
+        lambda: encrypt_packet(PAYLOAD, bench_key, nonce=_NONCE,
+                               engine="reference"), 2)
     t_enc_fast, packet_fast = _best_of(
         lambda: encrypt_packet(PAYLOAD, bench_key, nonce=_NONCE,
                                engine="fast"), 2)
     assert packet == packet_fast == warm  # differential guarantee, again
 
     decrypt_packet(packet, bench_key, engine="fast")  # warm
-    decrypt_packet(packet, bench_key)
-    t_dec_ref, plain = _best_of(lambda: decrypt_packet(packet, bench_key), 2)
+    decrypt_packet(packet, bench_key, engine="reference")
+    t_dec_ref, plain = _best_of(
+        lambda: decrypt_packet(packet, bench_key, engine="reference"), 2)
     t_dec_fast, plain_fast = _best_of(
         lambda: decrypt_packet(packet, bench_key, engine="fast"), 2)
     assert plain == plain_fast == PAYLOAD
@@ -83,7 +85,7 @@ def test_batch_codec_burst(bench_key, emit):
     t_batch, packets = _best_of(
         lambda: codec.encrypt_many(payloads, nonces), 2)
     t_loose, loose = _best_of(
-        lambda: [encrypt_packet(p, bench_key, nonce=n)
+        lambda: [encrypt_packet(p, bench_key, nonce=n, engine="reference")
                  for p, n in zip(payloads, nonces)], 2)
     assert packets == loose
 

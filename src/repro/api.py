@@ -28,13 +28,12 @@ Resource ownership is explicit: a codec that *starts* a pool (because
 ``workers > 0``) owns it and releases it on :meth:`Codec.close` /
 ``with``-exit; a pool *passed in* is shared and never closed.  Wire
 compatibility is a hard invariant — every path through the facade emits
-bytes identical to the legacy entry points, pinned by the differential
+bytes identical to the low-level entry points, pinned by the differential
 suite in ``tests/test_api.py``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from repro.core import engines as _engines
@@ -102,7 +101,7 @@ class Codec:
     Construction resolves and validates everything eagerly: the key (a
     :class:`~repro.core.key.Key` or its ``keygen`` hex form), the engine
     (registry name, :class:`~repro.core.engines.Engine` instance, or
-    ``None`` for the library default — unknown names raise
+    ``None`` for the registry default — unknown names raise
     :class:`~repro.core.errors.UnknownEngineError` listing the
     registered engines), the algorithm (``"mhhea"``/``"hhea"`` or the
     wire id) and the pool policy.  After that, no call on the facade
@@ -399,27 +398,9 @@ def open_codec(key, **options) -> Codec:
     return Codec(key, **options)
 
 
-def _codec_for_link(endpoint: str, codec, engine, parallel_workers) -> Codec:
+def _codec_for_link(codec) -> Codec:
     """Normalise :func:`connect`/:func:`serve` input to a bound codec."""
-    legacy = {name: value
-              for name, value in (("engine", engine),
-                                  ("parallel_workers", parallel_workers))
-              if value is not None}
-    if isinstance(codec, Codec):
-        if legacy:
-            raise TypeError(
-                f"{endpoint}() got a Codec plus legacy keyword(s) "
-                f"{sorted(legacy)}; bind those options in the Codec instead"
-            )
-        return codec
-    if legacy:
-        warnings.warn(
-            f"building a link from legacy keyword(s) {sorted(legacy)} is "
-            f"deprecated; pass {endpoint}(open_codec(key, ...)) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-    return Codec(codec, engine=legacy.get("engine"),
-                 workers=legacy.get("parallel_workers", 0))
+    return codec if isinstance(codec, Codec) else Codec(codec)
 
 
 #: Transport selectors accepted by :func:`connect` / :func:`serve`.
@@ -476,18 +457,14 @@ def connect(codec, host: str = "127.0.0.1", port: int = 0, *,
             transport: str = "tcp",
             session_id: bytes | None = None,
             server=None,
-            engine: str | None = None,
-            parallel_workers: int | None = None,
             kex=None, ticket=None):
     """A secure-link client speaking this codec's policy (initiator side).
 
     ``codec`` is a :class:`Codec` (or a key / hex key, from which a
-    default codec is built; the ``engine=``/``parallel_workers=``
-    keywords exist only for that legacy spelling and emit one
-    :class:`DeprecationWarning`).  ``transport`` picks the adapter, all
-    of which drive the same :class:`~repro.link.LinkProtocol` and are
-    therefore wire-compatible with every ``serve`` transport but
-    ``"memory"``:
+    default codec is built; engine and pool sizing are codec options).
+    ``transport`` picks the adapter, all of which drive the same
+    :class:`~repro.link.LinkProtocol` and are therefore wire-compatible
+    with every ``serve`` transport but ``"memory"``:
 
     * ``"tcp"`` (default) — the asyncio
       :class:`~repro.net.client.SecureLinkClient`, returned
@@ -516,7 +493,7 @@ def connect(codec, host: str = "127.0.0.1", port: int = 0, *,
     exchange (and has nowhere to store tickets) and rejects ``kex``.
     """
     _check_transport(transport)
-    bound = _codec_for_link("connect", codec, engine, parallel_workers)
+    bound = _codec_for_link(codec)
     kex_config = _resolve_kex(bound, "connect", kex, ticket)
     if kex_config is not None and transport == "udp":
         raise ValueError(
@@ -561,8 +538,6 @@ def connect(codec, host: str = "127.0.0.1", port: int = 0, *,
 def serve(codec, host: str = "127.0.0.1", port: int = 0, *,
           transport: str = "tcp",
           handler=None, queue_depth: int = DEFAULT_QUEUE_DEPTH,
-          engine: str | None = None,
-          parallel_workers: int | None = None,
           metrics_port: int | None = None,
           kex=None):
     """A secure-link server speaking this codec's policy (responder side).
@@ -602,7 +577,7 @@ def serve(codec, host: str = "127.0.0.1", port: int = 0, *,
         raise ValueError(
             f"metrics_port requires transport='tcp', got {transport!r}"
         )
-    bound = _codec_for_link("serve", codec, engine, parallel_workers)
+    bound = _codec_for_link(codec)
     kex_config = _resolve_kex(bound, "serve", kex)
     if kex_config is not None and transport == "udp":
         raise ValueError(

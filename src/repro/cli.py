@@ -37,12 +37,12 @@ the same ``--rekey-interval`` and the same ``--transport`` (``tcp``,
 the reliable asyncio default, or ``udp``, best-effort datagrams whose
 replay window absorbs loss and reordering; UDP runs cipher work inline,
 so it rejects ``--workers``).  ``encrypt``/``decrypt``/``serve``/
-``send`` default to the bit-parallel fast engine (``--engine reference``
-selects the per-bit golden model; both emit identical packets, see
-DESIGN.md section 8) and accept ``--workers N`` to shard cipher work
-across a process pool (``repro.parallel``; wire bytes are identical for
-every worker count, see DESIGN.md section 9).  A typical loopback
-check::
+``send`` run the registry's default engine (``repro-mhhea engines`` tags
+it; ``--engine reference`` selects the per-bit golden model; all emit
+identical packets, see DESIGN.md section 8) and accept ``--workers N``
+to shard cipher work across a process pool (``repro.parallel``; wire
+bytes are identical for every worker count, see DESIGN.md section 9).
+A typical loopback check::
 
     repro-mhhea keygen --seed 1 > key.txt
     repro-mhhea serve --key "$(cat key.txt)" --port 45678 &
@@ -60,7 +60,11 @@ import contextlib
 import os
 import sys
 
-from repro.core.engines import registered_engines
+from repro.core.engines import (
+    DEFAULT_ENGINE_NAME,
+    get_engine,
+    registered_engines,
+)
 from repro.core.errors import ReproError
 from repro.core.key import Key
 from repro.core.params import PAPER_PARAMS
@@ -92,10 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
             # Choices come from the registry, so a plugin registered
             # before main() is selectable; argparse rejects unknown
             # names with the registered list and exit status 2.
-            "--engine", choices=registered_engines(), default="fast",
-            help="cipher implementation: bit-parallel 'fast' (default), "
-                 "the per-bit 'reference', or any registered plugin; all "
-                 "produce identical packets",
+            "--engine", choices=registered_engines(),
+            default=DEFAULT_ENGINE_NAME,
+            help="cipher implementation (default %(default)s): bit-parallel "
+                 "'fast', the per-bit 'reference', or any registered "
+                 "plugin; all produce identical packets",
         )
 
     def add_workers_flag(command: argparse.ArgumentParser) -> None:
@@ -332,17 +337,9 @@ def _run(args, out) -> int:
         return 0
 
     if args.command == "engines":
-        from repro.core.engines import DEFAULT_ENGINE_NAME, get_engine
-
         for name in registered_engines():
-            backend = get_engine(name)
-            cls = type(backend)
-            tags = []
-            if name == DEFAULT_ENGINE_NAME:
-                tags.append("library default")
-            if name == "fast":
-                tags.append("CLI default")
-            suffix = f"  ({', '.join(tags)})" if tags else ""
+            cls = type(get_engine(name))
+            suffix = "  (default)" if name == DEFAULT_ENGINE_NAME else ""
             out.write(f"{name:<12} {cls.__module__}.{cls.__qualname__}"
                       f"{suffix}\n")
         return 0

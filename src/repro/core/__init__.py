@@ -36,7 +36,6 @@ from repro.core.errors import (
     CoverExhaustedError,
     FlowError,
     HardwareModelError,
-    KeyError_,
     ReproError,
     ReproKeyError,
     UnknownEngineError,
@@ -53,7 +52,6 @@ __all__ = [
     "CoverExhaustedError",
     "FlowError",
     "HardwareModelError",
-    "KeyError_",
     "ReproError",
     "ReproKeyError",
     "UnknownEngineError",

@@ -5,15 +5,15 @@ implementations — the FPGA micro-architecture and the software model
 compute the same function.  This reproduction accumulated the same
 shape in software: the per-bit reference engine
 (:mod:`repro.core.engine`) and the word-level fast engine
-(:mod:`repro.core.fastpath`) emit byte-identical wire packets.  What
-used to select between them was a stringly-typed ``engine="reference"
-| "fast"`` keyword threaded through eight modules; this module replaces
-that with a registry:
+(:mod:`repro.core.fastpath`) emit byte-identical wire packets.  This
+module is the one place that chooses between them:
 
 * :func:`register_engine` — add a named :class:`Engine` factory (the
   built-ins ``"reference"`` and ``"fast"`` are registered at import);
 * :func:`get_engine` — resolve a selector (name, ``None`` for the
   default, or an :class:`Engine` instance passed through) exactly once;
+* :data:`DEFAULT_ENGINE_NAME` — the engine that runs when a caller
+  names none; every other default in the library reads it;
 * :func:`check_engine_name` / :func:`registered_engines` — eager
   validation that fails with
   :class:`~repro.core.errors.UnknownEngineError` naming every
@@ -61,8 +61,10 @@ HHEA = "hhea"
 #: The algorithm selectors every engine must accept.
 ALGORITHM_NAMES = (MHHEA, HHEA)
 
-#: Name resolved when a caller passes no engine selector at all.
-DEFAULT_ENGINE_NAME = "reference"
+#: Name resolved when a caller passes no engine selector at all — the
+#: library's one default engine.  ``SessionConfig``, ``RelayConfig`` and
+#: the CLI's ``--engine`` read it; wire bytes never depend on it.
+DEFAULT_ENGINE_NAME = "fast"
 
 
 def _check_algorithm(algorithm: str) -> str:
@@ -247,11 +249,12 @@ def get_engine(engine: "str | Engine | None" = None) -> Engine:
     """Resolve an engine selector to its :class:`Engine` instance.
 
     ``None`` resolves to :data:`DEFAULT_ENGINE_NAME`; an
-    :class:`Engine` instance passes through untouched (the no-warning
-    path resolved callers use); a name is looked up in the registry,
-    raising :class:`~repro.core.errors.UnknownEngineError` for
-    unregistered ones.  Resolution is meant to happen *once*, at
-    :class:`repro.api.Codec` construction — not per packet.
+    :class:`Engine` instance passes through untouched; a name is looked
+    up in the registry, raising
+    :class:`~repro.core.errors.UnknownEngineError` for unregistered
+    ones.  This is the one resolver every ``engine=`` argument in the
+    library goes through; resolve once (a :class:`repro.api.Codec`
+    does it at construction), not per packet.
     """
     if engine is None:
         engine = DEFAULT_ENGINE_NAME

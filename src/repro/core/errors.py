@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ReproKeyError",
-    "KeyError_",
     "CipherFormatError",
     "CoverExhaustedError",
     "HardwareModelError",
@@ -30,18 +29,7 @@ class ReproError(Exception):
 
 
 class ReproKeyError(ReproError):
-    """Invalid key material (range, length, parse failures).
-
-    Historically exported as ``KeyError_`` (trailing underscore to avoid
-    shadowing the builtin :class:`KeyError`); that alias is kept for
-    compatibility but deprecated — new code should catch
-    :class:`ReproKeyError`.
-    """
-
-
-#: Deprecated alias for :class:`ReproKeyError`; kept so existing
-#: ``except KeyError_`` handlers keep working.
-KeyError_ = ReproKeyError
+    """Invalid key material (range, length, parse failures)."""
 
 
 class CipherFormatError(ReproError):
@@ -104,8 +92,8 @@ class UnknownEngineError(SessionError, ValueError):
     Raised eagerly wherever an engine selector enters the system — the
     :class:`repro.api.Codec` constructor,
     :meth:`repro.net.session.SessionConfig.validate`, the CLI
-    ``--engine`` flag and every core entry point that still accepts a
-    name — and its message always lists the registered engines.
+    ``--engine`` flag and every core entry point that accepts a name —
+    and its message always lists the registered engines.
 
     The multiple inheritance is deliberate compatibility glue: before
     the registry existed, a bad engine name surfaced as a plain

@@ -33,13 +33,11 @@ identity ``(chunk ^ scramble) & m == XOR of the per-bit scrambles``.
 The differential suite (``tests/core/test_fastpath_equiv.py``) pins the
 two engines together over thousands of randomised cases.
 
-Engine selection is threaded through the stack as an
-``engine="reference" | "fast"`` parameter: :mod:`repro.core.mhhea` /
-:mod:`repro.core.hhea` (``encrypt_bits`` / ``decrypt_bits``),
-:mod:`repro.core.stream` (``encrypt_packet`` / ``decrypt_packet``),
-:class:`repro.net.session.SessionConfig` and the CLI.  Both engines
-produce byte-identical wire packets, so the choice is purely local —
-peers never need to agree on it.
+This module is the kernel behind the registry's ``"fast"`` engine
+(:class:`repro.core.engines.FastEngine`); callers select engines through
+:mod:`repro.core.engines`, never here.  Both engines produce
+byte-identical wire packets, so the choice is purely local — peers
+never need to agree on it.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 
+from repro.core import engines as _engines
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.core.params import VectorParams
@@ -55,25 +54,14 @@ from repro.util.bits import bits_to_int, check_uint, mask
 from repro.util.lfsr import LeapLfsr, Lfsr
 
 __all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
     "HHEA",
     "MHHEA",
-    "check_engine",
     "FastSchedule",
     "schedule_for",
     "embed_stream",
     "extract_stream",
     "BatchCodec",
 ]
-
-#: The two built-in engine implementations.  Third-party backends are
-#: added through :func:`repro.core.engines.register_engine`; use
-#: :func:`repro.core.engines.registered_engines` for the live list.
-ENGINES = ("reference", "fast")
-
-#: Library-wide default; the CLI defaults to ``"fast"`` instead.
-DEFAULT_ENGINE = "reference"
 
 #: Algorithm names accepted by :func:`schedule_for`.
 MHHEA = "mhhea"
@@ -83,23 +71,6 @@ HHEA = "hhea"
 _W_SCRAMBLED = 0  # MHHEA: window displaced by the vector's scramble half
 _W_FIXED = 1      # HHEA: the sorted pair itself
 _W_CALLABLE = 2   # injected policy (tests); validated per vector
-
-
-def check_engine(engine: str) -> str:
-    """Validate an engine selector against the registry; returns it unchanged.
-
-    Kept as the historical core-layer validation hook; since the engine
-    registry (:mod:`repro.core.engines`) took over selection, this is a
-    thin delegate that raises
-    :class:`~repro.core.errors.UnknownEngineError` (a
-    :class:`ValueError` subclass, so pre-registry handlers keep
-    working) naming the registered engines.
-    """
-    from repro.core import engines as _engines
-
-    if isinstance(engine, _engines.Engine):
-        return engine.name
-    return _engines.check_engine_name(engine)
 
 
 def _check_frame_bits(frame_bits: int | None) -> None:
@@ -463,8 +434,7 @@ class BatchCodec:
     """
 
     def __init__(self, key: Key, algorithm: int | None = None,
-                 engine: str = "fast"):
-        from repro.core import engines as _engines
+                 engine: "str | _engines.Engine | None" = None):
         from repro.core import stream  # deferred: stream imports this module
 
         self._stream = stream
@@ -473,11 +443,12 @@ class BatchCodec:
                           else algorithm)
         if self.algorithm not in (stream.ALGORITHM_HHEA, stream.ALGORITHM_MHHEA):
             raise CipherFormatError(f"unknown algorithm id {algorithm}")
-        #: Resolved engine backend; ``engine`` accepts a registry name or
-        #: an :class:`repro.core.engines.Engine` instance.
+        #: Resolved engine backend; ``engine`` accepts a registry name,
+        #: an :class:`repro.core.engines.Engine` instance, or ``None``
+        #: for the registry default.
         self.backend = _engines.get_engine(engine)
         self.engine = self.backend.name
-        if self.engine == "fast":
+        if isinstance(self.backend, _engines.FastEngine):
             name = MHHEA if self.algorithm == stream.ALGORITHM_MHHEA else HHEA
             schedule_for(key, name, key.params)  # compile once, up front
 

@@ -52,8 +52,8 @@ def encrypt_bits(
 ) -> list[int]:
     """Embed a message bit stream at the raw key locations.
 
-    ``engine="fast"`` selects the word-level engine
-    (:mod:`repro.core.fastpath`); output is bit-identical and trace
+    ``engine`` selects the implementation through the registry
+    (``None`` for its default); output is bit-identical and trace
     recording always falls back to the reference implementation.
     """
     backend = _engines.get_engine(engine)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.errors import KeyError_
+from repro.core.errors import ReproKeyError
 from repro.core.params import PAPER_PARAMS, VectorParams
 from repro.util.bits import check_uint, extract_field, mask
 from repro.util.rng import make_rng
@@ -36,12 +36,13 @@ class KeyPair:
     k2: int
 
     def validate(self, params: VectorParams) -> None:
-        """Raise :class:`KeyError_` unless both halves are in range."""
+        """Raise :class:`ReproKeyError` unless both halves are in range."""
         for name, value in (("k1", self.k1), ("k2", self.k2)):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise KeyError_(f"{name} must be an int, got {type(value).__name__}")
+                raise ReproKeyError(
+                    f"{name} must be an int, got {type(value).__name__}")
             if not 0 <= value <= params.key_max:
-                raise KeyError_(
+                raise ReproKeyError(
                     f"{name}={value} out of range 0..{params.key_max} "
                     f"for {params.width}-bit vectors"
                 )
@@ -64,9 +65,10 @@ class Key:
     def __init__(self, pairs: list[KeyPair] | list[tuple[int, int]],
                  params: VectorParams = PAPER_PARAMS):
         if not pairs:
-            raise KeyError_("key must contain at least one pair")
+            raise ReproKeyError("key must contain at least one pair")
         if len(pairs) > MAX_PAIRS:
-            raise KeyError_(f"key has {len(pairs)} pairs; the key cache holds {MAX_PAIRS}")
+            raise ReproKeyError(
+                f"key has {len(pairs)} pairs; the key cache holds {MAX_PAIRS}")
         normalised: list[KeyPair] = []
         for entry in pairs:
             pair = entry if isinstance(entry, KeyPair) else KeyPair(*entry)
@@ -103,7 +105,7 @@ class Key:
         configuration the RTL supports.
         """
         if self.params.key_bits > 4:
-            raise KeyError_("hex serialisation supports key_bits <= 4")
+            raise ReproKeyError("hex serialisation supports key_bits <= 4")
         return ":".join(f"{p.k1:x}{p.k2:x}" for p in self.pairs)
 
     @classmethod
@@ -111,29 +113,29 @@ class Key:
         """Parse the :meth:`to_hex` format."""
         text = text.strip()
         if not text:
-            raise KeyError_("empty key string")
+            raise ReproKeyError("empty key string")
         pairs = []
         for i, token in enumerate(text.split(":")):
             token = token.strip()
             if len(token) != 2:
-                raise KeyError_(f"pair {i}: expected two hex digits, got {token!r}")
+                raise ReproKeyError(f"pair {i}: expected two hex digits, got {token!r}")
             try:
                 pairs.append(KeyPair(int(token[0], 16), int(token[1], 16)))
             except ValueError as exc:
-                raise KeyError_(f"pair {i}: invalid hex {token!r}") from exc
+                raise ReproKeyError(f"pair {i}: invalid hex {token!r}") from exc
         return cls(pairs, params)
 
     def to_bytes(self) -> bytes:
         """One byte per pair, ``k1`` in the high nibble."""
         if self.params.key_bits > 4:
-            raise KeyError_("byte serialisation supports key_bits <= 4")
+            raise ReproKeyError("byte serialisation supports key_bits <= 4")
         return bytes((p.k1 << 4) | p.k2 for p in self.pairs)
 
     @classmethod
     def from_bytes(cls, blob: bytes, params: VectorParams = PAPER_PARAMS) -> "Key":
         """Inverse of :meth:`to_bytes`."""
         if not blob:
-            raise KeyError_("empty key blob")
+            raise ReproKeyError("empty key blob")
         return cls([KeyPair(b >> 4, b & 0xF) for b in blob], params)
 
     # -- generation -------------------------------------------------------
@@ -143,7 +145,7 @@ class Key:
                  params: VectorParams = PAPER_PARAMS) -> "Key":
         """Deterministically generate a key schedule from ``seed``."""
         if not 1 <= n_pairs <= MAX_PAIRS:
-            raise KeyError_(f"n_pairs must be 1..{MAX_PAIRS}, got {n_pairs}")
+            raise ReproKeyError(f"n_pairs must be 1..{MAX_PAIRS}, got {n_pairs}")
         rng = make_rng(seed)
         pairs = [
             KeyPair(rng.randrange(params.half), rng.randrange(params.half))

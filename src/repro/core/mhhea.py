@@ -57,9 +57,10 @@ def encrypt_bits(
     pair — an :class:`repro.util.lfsr.Lfsr` for encryption proper, or a
     cover adapter for steganography.  ``frame_bits=16`` reproduces the
     micro-architecture's half-buffer framing bit-for-bit; ``None`` is the
-    paper's flat pseudocode.  ``engine="fast"`` selects the bit-parallel
-    word engine (:mod:`repro.core.fastpath`) — bit-identical output,
-    differentially tested; trace recording always uses the reference.
+    paper's flat pseudocode.  ``engine`` selects the implementation
+    through the registry (``None`` for its default) — bit-identical
+    output, differentially tested; trace recording always uses the
+    reference.
     """
     backend = _engines.get_engine(engine)
     if trace is not None:

@@ -32,7 +32,6 @@ field, so header corruption must be as detectable as payload corruption
 from __future__ import annotations
 
 import struct
-import warnings
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -77,30 +76,6 @@ NONCE_MAX = 0xFFFFFFFF
 def _algorithm_name(algorithm: int) -> str:
     """Map a wire algorithm id onto the registry's algorithm name."""
     return _engines.MHHEA if algorithm == ALGORITHM_MHHEA else _engines.HHEA
-
-
-def _resolve_engine(engine) -> "_engines.Engine":
-    """Resolve an ``engine=`` argument; deprecation shim for names.
-
-    ``None`` means the library default and an
-    :class:`~repro.core.engines.Engine` instance is the resolved-caller
-    path (what :class:`repro.api.Codec` and the session layer pass) —
-    both silent.  A *string* is the legacy stringly-typed selector:
-    still honoured, still byte-identical on the wire, but it emits one
-    :class:`DeprecationWarning` per call pointing at the facade.
-    Unknown names raise
-    :class:`~repro.core.errors.UnknownEngineError` eagerly.
-    """
-    if engine is None or isinstance(engine, _engines.Engine):
-        return _engines.get_engine(engine)
-    backend = _engines.get_engine(engine)  # eager UnknownEngineError
-    warnings.warn(
-        "passing engine= by name to repro.core.stream entry points is "
-        "deprecated; bind the engine once in a repro.api.Codec (or pass "
-        "the object from repro.core.engines.get_engine)",
-        DeprecationWarning, stacklevel=3,
-    )
-    return backend
 
 
 def validate_nonce(nonce: int, width: int) -> int:
@@ -246,14 +221,12 @@ def encrypt_packet(
     link traffic.
 
     ``engine`` selects the implementation through the registry
-    (:mod:`repro.core.engines`): ``None`` is the library default, an
-    :class:`~repro.core.engines.Engine` instance is used as-is, and a
-    name is the deprecated legacy spelling (one
-    :class:`DeprecationWarning`; prefer binding a
-    :class:`repro.api.Codec`).  Every engine emits byte-identical wire
-    packets, so mixed-engine links interoperate freely.
+    (:func:`repro.core.engines.get_engine`): a registered name, an
+    :class:`~repro.core.engines.Engine` instance, or ``None`` for the
+    registry default.  Every engine emits byte-identical wire packets,
+    so mixed-engine links interoperate freely.
     """
-    backend = _resolve_engine(engine)
+    backend = _engines.get_engine(engine)
     registry = _obs.get_registry()
     start = registry.clock() if registry.enabled else 0.0
     params = key.params
@@ -360,7 +333,7 @@ def decrypt_packet(packet: bytes, key: Key,
     parameter set.  ``engine`` selects the implementation exactly as for
     :func:`encrypt_packet`; any engine decrypts any engine's output.
     """
-    backend = _resolve_engine(engine)
+    backend = _engines.get_engine(engine)
     registry = _obs.get_registry()
     start = registry.clock() if registry.enabled else 0.0
     header = verify_packet(packet)
@@ -417,7 +390,7 @@ def encrypt_packets(
     in length, plus everything :func:`encrypt_packet` raises (nonce
     validation happens per packet, inside the jobs).
     """
-    backend = _resolve_engine(engine)
+    backend = _engines.get_engine(engine)
     if len(payloads) != len(nonces):
         raise ValueError(
             f"{len(payloads)} payloads but {len(nonces)} nonces"
@@ -441,7 +414,7 @@ def decrypt_packets(
     semantics as :func:`encrypt_packets`.  Any structural or CRC failure
     in any packet propagates as :class:`CipherFormatError`.
     """
-    backend = _resolve_engine(engine)
+    backend = _engines.get_engine(engine)
     jobs = [(packet, key, backend) for packet in packets]
     if executor is None:
         return [_decrypt_one(job) for job in jobs]

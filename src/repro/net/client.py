@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-import warnings
 from collections import deque
-from dataclasses import replace
 
 from repro.core.errors import ReproError, SessionError
 from repro.link.events import (
@@ -64,8 +62,7 @@ class SecureLinkClient:
 
     def __init__(self, root, host: str = "127.0.0.1", port: int = 0,
                  config: SessionConfig | None = None,
-                 session_id: bytes | None = None,
-                 engine: str | None = None, *,
+                 session_id: bytes | None = None, *,
                  kex=None):
         if root is not None:
             root, config = _resolve_root(root, config)
@@ -75,20 +72,7 @@ class SecureLinkClient:
         self._root = root
         self._host = host
         self._port = port
-        config = config or SessionConfig()
-        if engine is not None:
-            # Legacy local cipher-engine override; never handshake policy.
-            from repro.core.engines import check_engine_name
-
-            check_engine_name(engine)  # eager UnknownEngineError
-            warnings.warn(
-                "the engine= override on SecureLinkServer/SecureLinkClient "
-                "is deprecated; bind the engine in a repro.api.Codec (or "
-                "SessionConfig) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            config = replace(config, engine=engine)
-        self._config = config
+        self._config = config or SessionConfig()
         self._config.validate(root.params.width if root is not None
                               else kex.params.width)
         self._session_id = session_id if session_id is not None else os.urandom(8)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import warnings
-from dataclasses import replace
 from typing import Awaitable, Callable
 
 from repro.core.errors import ReproError
@@ -86,7 +84,6 @@ class SecureLinkServer:
                  config: SessionConfig | None = None,
                  handler: Handler = _echo,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 engine: str | None = None,
                  metrics_port: int | None = None,
                  kex=None,
                  metrics_eviction_s: float = 600.0):
@@ -101,22 +98,7 @@ class SecureLinkServer:
         self._root = root
         self._host = host
         self._requested_port = port
-        config = config or SessionConfig()
-        if engine is not None:
-            # Legacy convenience override: the cipher engine is a purely
-            # local choice (packets are byte-identical), never handshake
-            # policy.  Prefer binding it in a Codec / SessionConfig.
-            from repro.core.engines import check_engine_name
-
-            check_engine_name(engine)  # eager UnknownEngineError
-            warnings.warn(
-                "the engine= override on SecureLinkServer/SecureLinkClient "
-                "is deprecated; bind the engine in a repro.api.Codec (or "
-                "SessionConfig) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            config = replace(config, engine=engine)
-        self._config = config
+        self._config = config or SessionConfig()
         self._config.validate(root.params.width)
         self._handler = handler
         self._queue_depth = queue_depth

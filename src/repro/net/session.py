@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from repro.core import engines as _engines
 from repro.core.errors import ReplayError, SessionError
-from repro.core.fastpath import DEFAULT_ENGINE
 from repro.core.key import Key
 from repro.core.stream import (
     ALGORITHM_HHEA,
@@ -156,8 +155,8 @@ class SessionConfig:
     """Link policy both peers must agree on (checked in the handshake).
 
     ``engine``, ``parallel_workers`` and ``parallel_threshold`` are the
-    *local* knobs: they select the cipher implementation
-    (``"reference"`` or ``"fast"``, see :mod:`repro.core.fastpath`) and
+    *local* knobs: they select the cipher implementation (a registered
+    name, by default :data:`repro.core.engines.DEFAULT_ENGINE_NAME`) and
     the process-pool offload policy for this endpoint only.  All
     settings of these knobs emit byte-identical packets, so they are
     deliberately absent from the hello frame — peers may mix freely.
@@ -173,7 +172,7 @@ class SessionConfig:
     algorithm: int = ALGORITHM_MHHEA
     rekey_interval: int = DEFAULT_REKEY_INTERVAL
     max_payload: int = MAX_PAYLOAD_DEFAULT
-    engine: str = DEFAULT_ENGINE
+    engine: str = _engines.DEFAULT_ENGINE_NAME
     parallel_workers: int = 0
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
 
@@ -557,7 +556,7 @@ class Session:
             raise SessionError(f"role must be one of {self.ROLES}, got {role!r}")
         if len(root) == 0:
             # Caught here, not deep inside derive_epoch_key: a hollow key
-            # would otherwise surface as a confusing KeyError_ from the
+            # would otherwise surface as a confusing ReproKeyError from the
             # epoch-key generator on the first send.
             raise SessionError(
                 "root key has no pairs; per-direction key derivation needs "

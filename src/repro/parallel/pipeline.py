@@ -28,8 +28,6 @@ the differential suite in ``tests/parallel/test_pipeline.py``.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core import engines as _engines
 from repro.core.errors import CipherFormatError
 from repro.core.fastpath import BatchCodec
@@ -142,12 +140,9 @@ class ParallelCodec:
 
         ``algorithm`` is a packet-format algorithm id
         (:data:`~repro.core.stream.ALGORITHM_MHHEA` by default) and
-        ``engine`` the cipher implementation — ``None`` keeps the
-        historical ``"fast"`` default, an
-        :class:`~repro.core.engines.Engine` instance is the resolved
-        path :class:`repro.api.Codec` uses, and a name is the
-        deprecated legacy spelling (one :class:`DeprecationWarning`,
-        unchanged wire bytes).  Raises :class:`ValueError` for a
+        ``engine`` the cipher implementation — a registered name, an
+        :class:`~repro.core.engines.Engine` instance, or ``None`` for
+        the registry default.  Raises :class:`ValueError` for a
         non-positive ``chunk_size``, a negative ``workers`` count, or
         (as :class:`~repro.core.errors.UnknownEngineError`) an
         unregistered engine name.
@@ -156,16 +151,7 @@ class ParallelCodec:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if isinstance(engine, str):
-            backend = _engines.get_engine(engine)  # eager UnknownEngineError
-            warnings.warn(
-                "passing engine= by name to ParallelCodec is deprecated; "
-                "bind the engine once in a repro.api.Codec (or pass the "
-                "object from repro.core.engines.get_engine)",
-                DeprecationWarning, stacklevel=2,
-            )
-        else:
-            backend = _engines.get_engine("fast" if engine is None else engine)
+        backend = _engines.get_engine(engine)
         self.key = key
         self.chunk_size = chunk_size
         self.engine = backend.name

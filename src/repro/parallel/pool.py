@@ -125,12 +125,14 @@ class EncryptionPool:
     """
 
     def __init__(self, workers: int, *, key: Key | None = None,
-                 algorithm: int | None = None, engine: str = "fast",
+                 algorithm: int | None = None,
+                 engine: "str | _engines.Engine | None" = None,
                  mp_context=None):
         """Start ``workers`` processes, warmed for ``key`` if given.
 
         ``engine`` selects the cipher implementation the *warmup*
-        compiles (jobs still name their own engine); ``mp_context`` is a
+        compiles (``None`` for the registry default; jobs still name
+        their own engine); ``mp_context`` is a
         :mod:`multiprocessing` context for tests that need a specific
         start method.  Raises :class:`ValueError` for ``workers < 1``.
         """

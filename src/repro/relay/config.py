@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from repro.core.engines import DEFAULT_ENGINE_NAME, check_engine_name
 from repro.core.errors import SessionError
 from repro.kex.keyring import TenantKeyring, normalize_tenant_id
 
@@ -83,11 +84,10 @@ class RelayConfig:
     #: :meth:`~repro.relay.RelayCore.poll` (0 disables) — the wiring
     #: for ``MetricsRegistry.evict_idle``.
     metrics_eviction_s: float = 60.0
-    #: Cipher engine for every relay-side link session.  The relay
-    #: re-encrypts each payload once per receiver, so unlike the
-    #: library-wide ``"reference"`` default it runs the word-level
-    #: ``"fast"`` engine (wire-identical; see repro.core.engines).
-    engine: str = "fast"
+    #: Cipher engine for every relay-side link session (the registry
+    #: default unless named; every engine is wire-identical, see
+    #: repro.core.engines).
+    engine: str = DEFAULT_ENGINE_NAME
 
     def validate(self) -> None:
         """Reject inconsistent policies with :class:`SessionError`."""
@@ -118,7 +118,6 @@ class RelayConfig:
             raise SessionError("ticket_lifetime_s must be > 0")
         if self.metrics_eviction_s < 0:
             raise SessionError("metrics_eviction_s must be >= 0")
-        from repro.core.engines import check_engine_name
         check_engine_name(self.engine)
         if self.allowed_tenants is not None:
             for tenant in self.allowed_tenants:

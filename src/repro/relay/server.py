@@ -237,15 +237,10 @@ class RelayClient:
     @classmethod
     async def connect(cls, host: str, port: int, *, kex: KexConfig,
                       channel: "bytes | None" = None,
-                      timeout: float = 10.0,
-                      engine: str = "fast") -> "RelayClient":
-        """Dial, handshake, optionally JOIN; returns the live client.
-
-        ``engine`` matches the relay's default (wire-identical either
-        way; the fast engine just decrypts routed traffic cheaper)."""
+                      timeout: float = 10.0) -> "RelayClient":
+        """Dial, handshake, optionally JOIN; returns the live client."""
         reader, writer = await asyncio.open_connection(host, port)
-        proto = LinkProtocol(None, "initiator", SessionConfig(engine=engine),
-                             kex=kex)
+        proto = LinkProtocol(None, "initiator", SessionConfig(), kex=kex)
         client = cls(proto, reader, writer)
         try:
             await asyncio.wait_for(client._handshake(), timeout)

@@ -15,7 +15,9 @@ then sees no always-zero positions beyond chance.
 The attack here is exactly that estimator, run under an honest attacker
 model: known algorithm and parameters, chosen plaintext, ciphertext
 vectors in order (so the pair index of each vector is known), key
-unknown.
+unknown.  The encryption oracle is the per-bit ``"reference"`` engine —
+the paper's pseudocode — so the attack measures the algorithm, not one
+implementation of it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def constant_chosen_plaintext_attack(
     bits = [plaintext_bit] * n_bits
     source = Lfsr(params.width, seed=seed)
     encrypt = mhhea.encrypt_bits if algorithm == "mhhea" else hhea.encrypt_bits
-    vectors = encrypt(bits, key, source, params)
+    vectors = encrypt(bits, key, source, params, engine="reference")
 
     # Attacker view: vectors grouped by pair index (i mod L is public).
     grouped: list[list[int]] = [[] for _ in range(n_pairs)]

@@ -37,6 +37,75 @@ class TestResolution:
         default = engines.get_engine(None)
         assert default.name == engines.DEFAULT_ENGINE_NAME
 
+    def test_every_default_is_the_registry_default(self, key16):
+        # One decision: every layer that runs an engine when the caller
+        # names none runs DEFAULT_ENGINE_NAME.
+        from repro.api import Codec
+        from repro.cli import build_parser
+        from repro.core.fastpath import BatchCodec
+        from repro.net.session import SessionConfig
+        from repro.parallel import ParallelCodec
+        from repro.relay import RelayConfig
+
+        parser = build_parser()
+        argvs = (["serve", "--key", "-"],
+                 ["send", "--key", "-", "--port", "0", "-"],
+                 ["encrypt", "--key", "-", "in", "out"],
+                 ["decrypt", "--key", "-", "in", "out"])
+        defaults = {
+            "Codec": Codec(key16).engine_name,
+            "SessionConfig": SessionConfig().engine,
+            "RelayConfig": RelayConfig().engine,
+            "BatchCodec": BatchCodec(key16).engine,
+            "ParallelCodec": ParallelCodec(key16).engine,
+            **{f"cli {argv[0]}": parser.parse_args(argv).engine
+               for argv in argvs},
+        }
+        assert defaults == dict.fromkeys(defaults,
+                                         engines.DEFAULT_ENGINE_NAME)
+
+    def test_only_the_registry_names_a_default_engine(self):
+        # Outside repro.core.engines no module binds a *DEFAULT_ENGINE*
+        # constant, an ``engine`` parameter or field to a literal name,
+        # or an ``--engine`` option to a literal default.
+        import ast
+        import pathlib
+
+        root = pathlib.Path(engines.__file__).parents[1]
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            if path == pathlib.Path(engines.__file__):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                bound = []
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    bound = [(t.id, node.value) for t in targets
+                             if isinstance(t, ast.Name)]
+                    bound = [(name, value) for name, value in bound
+                             if "DEFAULT_ENGINE" in name or name == "engine"]
+                elif isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    bound = [(arg.arg, value) for arg, value in [
+                        *zip(positional[len(positional)
+                                        - len(args.defaults):],
+                             args.defaults),
+                        *zip(args.kwonlyargs, args.kw_defaults),
+                    ] if arg.arg == "engine"]
+                elif isinstance(node, ast.Call) and any(
+                        isinstance(a, ast.Constant) and a.value == "--engine"
+                        for a in node.args):
+                    bound = [("--engine", kw.value) for kw in node.keywords
+                             if kw.arg == "default"]
+                found += [f"{path.relative_to(root)}:{value.lineno} {name}"
+                          for name, value in bound
+                          if isinstance(value, ast.Constant)
+                          and isinstance(value.value, str)]
+        assert found == []
+
     def test_instances_are_cached(self):
         assert engines.get_engine("fast") is engines.get_engine("fast")
 
@@ -67,14 +136,6 @@ class TestValidation:
 
     def test_check_engine_name_returns_name(self):
         assert engines.check_engine_name("fast") == "fast"
-
-    def test_fastpath_check_engine_delegates(self):
-        from repro.core.fastpath import check_engine
-
-        assert check_engine("reference") == "reference"
-        assert check_engine(engines.get_engine("fast")) == "fast"
-        with pytest.raises(ValueError, match="engine"):
-            check_engine("turbo")
 
 
 class TestRegistration:
@@ -144,22 +205,18 @@ class TestEngineEquivalence:
 
 
 class TestKeyErrorRename:
-    def test_alias_is_the_same_class(self):
-        from repro.core.errors import KeyError_, ReproKeyError
-
-        assert KeyError_ is ReproKeyError
-
     def test_new_name_catches_key_failures(self):
         from repro.core.errors import ReproKeyError
 
         with pytest.raises(ReproKeyError):
             Key.from_hex("zz:zz")
 
-    def test_both_names_exported(self):
+    def test_only_the_new_name_exists(self):
         from repro.core import errors
 
         assert "ReproKeyError" in errors.__all__
-        assert "KeyError_" in errors.__all__
+        assert "KeyError_" not in errors.__all__
+        assert not hasattr(errors, "KeyError_")
 
 
 class TestCipherClassResolution:

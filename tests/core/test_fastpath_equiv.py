@@ -112,7 +112,8 @@ class TestDifferentialConformance:
             src_ref = Lfsr(width, seed=seed)
             src_fast = Lfsr(width, seed=seed)
             v_ref = mod.encrypt_bits(bits, key, src_ref, params,
-                                     frame_bits=frame_bits)
+                                     frame_bits=frame_bits,
+                                     engine="reference")
             v_fast = mod.encrypt_bits(bits, key, src_fast, params,
                                       frame_bits=frame_bits, engine="fast")
             if v_ref != v_fast:
@@ -126,7 +127,8 @@ class TestDifferentialConformance:
                                     frame_bits=frame_bits,
                                     engine="fast") == bits, trial
             assert mod.decrypt_bits(v_fast, key, len(bits), params,
-                                    frame_bits=frame_bits) == bits, trial
+                                    frame_bits=frame_bits,
+                                    engine="reference") == bits, trial
         assert mismatches == 0
 
     def test_truncated_ciphertext_raises_in_both(self, cipher, frame_bits):
@@ -150,7 +152,7 @@ class TestDifferentialConformance:
         key = Key.generate(seed=11, n_pairs=5)
         bits = [1, 0, 1] * 8
         vectors = mod.encrypt_bits(bits, key, Lfsr(16, seed=9),
-                                   frame_bits=frame_bits)
+                                   frame_bits=frame_bits, engine="reference")
         extra = vectors + [0]
         for engine in ("reference", "fast"):
             with pytest.raises(CipherFormatError, match="trailing"):
@@ -178,22 +180,24 @@ class TestPacketDifferential:
                 if nonce & mask(width):
                     break
             p_ref = encrypt_packet(payload, key, nonce=nonce,
-                                   algorithm=algorithm)
+                                   algorithm=algorithm, engine="reference")
             p_fast = encrypt_packet(payload, key, nonce=nonce,
                                     algorithm=algorithm, engine="fast")
             assert p_ref == p_fast, trial
             assert decrypt_packet(p_ref, key, engine="fast") == payload
-            assert decrypt_packet(p_fast, key) == payload
+            assert decrypt_packet(p_fast, key,
+                                  engine="reference") == payload
 
     def test_batch_codec_matches_loose_packets(self):
         key = Key.generate(seed=2005, n_pairs=16)
         rng = random.Random(f"{SEED}:batch")
         payloads = [rng.randbytes(rng.randint(0, 64)) for _ in range(24)]
         nonces = list(range(1, len(payloads) + 1))
-        codec = fastpath.BatchCodec(key)
+        codec = fastpath.BatchCodec(key, engine="fast")
         packets = codec.encrypt_many(payloads, nonces)
         assert packets == [
-            encrypt_packet(p, key, nonce=n) for p, n in zip(payloads, nonces)
+            encrypt_packet(p, key, nonce=n, engine="reference")
+            for p, n in zip(payloads, nonces)
         ]
         assert codec.decrypt_many(packets) == payloads
 
@@ -259,7 +263,8 @@ class TestSourceWidthMismatch:
         mod = CIPHERS[cipher]
         key = Key.generate(seed=3)
         bits = [1, 0, 1, 1] * 10
-        ref = mod.encrypt_bits(bits, key, Lfsr(8, seed=0x5A))
+        ref = mod.encrypt_bits(bits, key, Lfsr(8, seed=0x5A),
+                               engine="reference")
         fast = mod.encrypt_bits(bits, key, Lfsr(8, seed=0x5A), engine="fast")
         assert ref == fast
 
@@ -294,18 +299,20 @@ class TestCipherClassParity:
 
         key = Key.generate(seed=2005, n_pairs=16)
         plaintext = bytes(range(256)) * 3
-        ref = MhheaCipher(key).encrypt(plaintext, seed=0x1234)
+        ref = MhheaCipher(key, engine="reference").encrypt(plaintext,
+                                                           seed=0x1234)
         fast = MhheaCipher(key, engine="fast").encrypt(plaintext, seed=0x1234)
         assert ref == fast
         assert MhheaCipher(key, engine="fast").decrypt(ref) == plaintext
-        assert MhheaCipher(key).decrypt(fast) == plaintext
+        assert MhheaCipher(key, engine="reference").decrypt(fast) == plaintext
 
     def test_hhea_cipher_engines_agree(self):
         from repro.core.hhea import HheaCipher
 
         key = Key.generate(seed=2005, n_pairs=16)
         plaintext = b"baseline cipher parity" * 7
-        ref = HheaCipher(key).encrypt(plaintext, seed=0x4321)
+        ref = HheaCipher(key, engine="reference").encrypt(plaintext,
+                                                          seed=0x4321)
         fast = HheaCipher(key, engine="fast").encrypt(plaintext, seed=0x4321)
         assert ref == fast
         assert HheaCipher(key, engine="fast").decrypt(ref) == plaintext

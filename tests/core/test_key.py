@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.errors import KeyError_
+from repro.core.errors import ReproKeyError
 from repro.core.key import MAX_PAIRS, Key, KeyPair, scramble_pair
 from repro.core.params import PAPER_PARAMS, VectorParams
 
@@ -21,23 +21,23 @@ class TestKeyPair:
         assert KeyPair(7, 0).span == 8
 
     def test_validate_range(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             KeyPair(8, 0).validate(PAPER_PARAMS)
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             KeyPair(0, -1).validate(PAPER_PARAMS)
 
     def test_validate_type(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             KeyPair(True, 0).validate(PAPER_PARAMS)
 
 
 class TestKey:
     def test_rejects_empty(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key([])
 
     def test_rejects_too_many_pairs(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key([(0, 0)] * (MAX_PAIRS + 1))
 
     def test_accepts_tuples(self):
@@ -66,9 +66,9 @@ class TestKey:
         assert Key.generate(seed=3) != Key.generate(seed=4)
 
     def test_generate_bad_count(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.generate(seed=1, n_pairs=0)
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.generate(seed=1, n_pairs=17)
 
     def test_generate_respects_params(self):
@@ -87,15 +87,15 @@ class TestSerialisation:
         assert Key([(0, 3), (7, 1)]).to_hex() == "03:71"
 
     def test_from_hex_rejects_garbage(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.from_hex("zz")
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.from_hex("013")
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.from_hex("")
 
     def test_from_hex_rejects_out_of_range_values(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.from_hex("09")  # 9 > key_max for 16-bit vectors
 
     def test_bytes_roundtrip(self):
@@ -103,13 +103,13 @@ class TestSerialisation:
         assert Key.from_bytes(key.to_bytes()) == key
 
     def test_from_bytes_rejects_empty(self):
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             Key.from_bytes(b"")
 
     def test_wide_params_reject_hex(self):
         params = VectorParams(64)
         key = Key([(0, 31)], params)
-        with pytest.raises(KeyError_):
+        with pytest.raises(ReproKeyError):
             key.to_hex()
 
 

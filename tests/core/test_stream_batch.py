@@ -56,7 +56,7 @@ class TestExecutorBatch:
             threaded = encrypt_packets(PAYLOADS, key16, NONCES,
                                        engine="fast", executor=executor)
             assert threaded == inline
-            assert decrypt_packets(threaded, key16,
+            assert decrypt_packets(threaded, key16, engine="reference",
                                    executor=executor) == PAYLOADS
 
     def test_process_pool_is_byte_identical(self, key16):
@@ -65,7 +65,7 @@ class TestExecutorBatch:
             forked = encrypt_packets(PAYLOADS, key16, NONCES,
                                      engine="fast", executor=executor)
             assert forked == inline
-            assert decrypt_packets(forked, key16,
+            assert decrypt_packets(forked, key16, engine="reference",
                                    executor=executor) == PAYLOADS
 
     def test_engines_agree_through_executor(self, key16):

@@ -31,10 +31,15 @@ def server_kex(root, *, modes=("ecdh", "resume", "psk"), vault=None):
                      else TicketVault(b"link test vault"))
 
 
-def make_pair(root, *, kex, responder_kex, config=None, **kwargs):
+#: Both ends run the per-bit golden model unless the initiator's config
+#: says otherwise, so a fast initiator is checked against the reference.
+REFERENCE = SessionConfig(engine="reference")
+
+
+def make_pair(root, *, kex, responder_kex, config=REFERENCE, **kwargs):
     return LinkPair(root, config, session_id=b"KEXLINK1",
-                    responder_root=root, kex=kex,
-                    responder_kex=responder_kex, **kwargs)
+                    responder_root=root, responder_config=REFERENCE,
+                    kex=kex, responder_kex=responder_kex, **kwargs)
 
 
 def roundtrip(pair):

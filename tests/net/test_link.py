@@ -297,14 +297,15 @@ class TestTransportLeaks:
 
 class TestEngineKwarg:
     def test_engine_override_on_server_and_client(self, key16):
-        # The convenience kwarg is equivalent to SessionConfig(engine=...)
-        # and mixes freely across the two ends of one link.
+        # The engine is a local SessionConfig knob, never handshake
+        # policy: the two ends of one link may run different engines.
         async def body():
-            async with SecureLinkServer(key16, port=0,
-                                        engine="fast") as server:
-                async with SecureLinkClient(key16, port=server.port,
-                                            session_id=SID,
-                                            engine="reference") as client:
+            async with SecureLinkServer(
+                    key16, port=0,
+                    config=SessionConfig(engine="fast")) as server:
+                async with SecureLinkClient(
+                        key16, port=server.port, session_id=SID,
+                        config=SessionConfig(engine="reference")) as client:
                     assert await client.request(b"mixed engines") == b"mixed engines"
                     assert client.session.config.engine == "reference"
             assert server.errors == []
@@ -314,6 +315,6 @@ class TestEngineKwarg:
         from repro.core.errors import SessionError
 
         with pytest.raises(SessionError, match="engine"):
-            SecureLinkServer(key16, engine="turbo")
+            SecureLinkServer(key16, config=SessionConfig(engine="turbo"))
         with pytest.raises(SessionError, match="engine"):
-            SecureLinkClient(key16, engine="turbo")
+            SecureLinkClient(key16, config=SessionConfig(engine="turbo"))

@@ -286,13 +286,15 @@ class TestEngineSelection:
         # The engine is a purely local choice: packets are byte-identical,
         # so a fast initiator talks to a reference responder and back.
         fast = Session(key16, "initiator", SID, SessionConfig(engine="fast"))
-        ref = Session(key16, "responder", SID, SessionConfig())
+        ref = Session(key16, "responder", SID,
+                      SessionConfig(engine="reference"))
         assert ref.decrypt(fast.encrypt(b"fast to reference")) == b"fast to reference"
         assert fast.decrypt(ref.encrypt(b"reference to fast")) == b"reference to fast"
 
     def test_engines_emit_identical_wire_packets(self, key16):
         fast = Session(key16, "initiator", SID, SessionConfig(engine="fast"))
-        ref = Session(key16, "initiator", SID, SessionConfig())
+        ref = Session(key16, "initiator", SID,
+                      SessionConfig(engine="reference"))
         for payload in (b"", b"x", b"a longer payload" * 9):
             assert fast.encrypt(payload) == ref.encrypt(payload)
 

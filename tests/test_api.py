@@ -1,13 +1,11 @@
 """The Codec facade: lifecycle, byte-identity with legacy paths, links.
 
-The acceptance contract of the api_redesign PR: a round trip through
-``repro.api.Codec`` — both engines, packet and chunked-blob paths, with
-and without a pool — is byte-identical on the wire to the legacy entry
-points.
+A round trip through ``repro.api.Codec`` — both engines, packet and
+chunked-blob paths, with and without a pool — is byte-identical on the
+wire to the low-level entry points it replaced as the front door.
 """
 
 import asyncio
-import warnings
 
 import pytest
 
@@ -25,13 +23,6 @@ from repro.parallel import EncryptionPool, ParallelCodec
 
 PAYLOAD = bytes(i % 251 for i in range(50_000))
 SID = b"apitests"
-
-
-def legacy(call, *args, **kwargs):
-    """Run a legacy stringly-typed call with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return call(*args, **kwargs)
 
 
 class TestConstruction:
@@ -78,26 +69,26 @@ class TestByteIdentityWithLegacyPaths:
     def test_single_packet(self, key16, engine):
         with open_codec(key16, engine=engine) as codec:
             packet = codec.encrypt(PAYLOAD[:2000], nonce=0x5EED)
-            assert packet == legacy(encrypt_packet, PAYLOAD[:2000], key16,
-                                    nonce=0x5EED, engine=engine)
+            assert packet == encrypt_packet(PAYLOAD[:2000], key16,
+                                            nonce=0x5EED, engine=engine)
             assert codec.decrypt(packet) == PAYLOAD[:2000]
-            assert legacy(decrypt_packet, packet, key16,
-                          engine=engine) == PAYLOAD[:2000]
+            assert decrypt_packet(packet, key16,
+                                  engine=engine) == PAYLOAD[:2000]
 
     def test_packet_batch(self, key16, engine):
         payloads = [PAYLOAD[:700], b"", PAYLOAD[700:1500]]
         nonces = [0x11, 0x22, 0x33]
         with open_codec(key16, engine=engine) as codec:
             packets = codec.encrypt_packets(payloads, nonces)
-            assert packets == legacy(encrypt_packets, payloads, key16,
-                                     nonces, engine=engine)
+            assert packets == encrypt_packets(payloads, key16, nonces,
+                                              engine=engine)
             assert codec.decrypt_packets(packets) == payloads
 
     def test_blob_inline(self, key16, engine):
         with open_codec(key16, engine=engine, chunk_size=4096) as codec:
             blob = codec.seal_blob(PAYLOAD)
-            reference = legacy(ParallelCodec, key16, chunk_size=4096,
-                               engine=engine).encrypt_blob(PAYLOAD)
+            reference = ParallelCodec(key16, chunk_size=4096,
+                                      engine=engine).encrypt_blob(PAYLOAD)
             assert blob == reference
             assert codec.open_blob(blob) == PAYLOAD
 
@@ -259,10 +250,12 @@ class TestLinkHelpers:
         self.run(body())
 
     def test_codec_plus_legacy_kwargs_is_an_error(self, key16):
+        # Engine and pool sizing are codec options only; the link
+        # helpers have no keyword of their own for either.
         codec = open_codec(key16)
-        with pytest.raises(TypeError, match="legacy"):
+        with pytest.raises(TypeError, match="engine"):
             connect(codec, engine="fast")
-        with pytest.raises(TypeError, match="legacy"):
+        with pytest.raises(TypeError, match="parallel_workers"):
             serve(codec, parallel_workers=2)
 
 

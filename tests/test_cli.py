@@ -6,6 +6,11 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+from repro.net.session import SessionConfig
+
+#: Link servers run the per-bit golden model, so every CLI client (on
+#: its default engine) is checked against the reference engine's bytes.
+REFERENCE = SessionConfig(engine="reference")
 
 
 class TestParser:
@@ -28,14 +33,16 @@ class TestVersionAndEngines:
         assert repro.__version__ in capsys.readouterr().out
 
     def test_engines_subcommand_lists_registry(self, capsys):
+        from repro.core.engines import DEFAULT_ENGINE_NAME
+
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("reference")
-        assert "library default" in lines[0]
         assert lines[1].startswith("fast")
-        assert "CLI default" in lines[1]
+        tagged = [line.split()[0] for line in lines if "(default)" in line]
+        assert tagged == [DEFAULT_ENGINE_NAME]
 
     def test_engines_subcommand_sees_plugins(self, capsys):
         from repro.core import engines
@@ -195,7 +202,8 @@ class TestSecureLink:
 
         key_hex = "03:25:71:46"
         loop = asyncio.new_event_loop()
-        server = SecureLinkServer(Key.from_hex(key_hex), port=0)
+        server = SecureLinkServer(Key.from_hex(key_hex), port=0,
+                                  config=REFERENCE)
         loop.run_until_complete(server.start())
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
@@ -219,7 +227,8 @@ class TestSecureLink:
         from repro.link import UdpLinkServer
 
         key_hex = "03:25:71:46"
-        with UdpLinkServer(Key.from_hex(key_hex), port=0) as server:
+        with UdpLinkServer(Key.from_hex(key_hex), port=0,
+                           config=REFERENCE) as server:
             payload = tmp_path / "payload.bin"
             payload.write_bytes(b"datagram payload " * 32)
             rc = main(["send", "--key", key_hex, "--transport", "udp",
@@ -261,7 +270,8 @@ class TestSecureLink:
 
         key_hex = "03:25:71:46"
         loop = asyncio.new_event_loop()
-        server = SecureLinkServer(Key.from_hex(key_hex), port=0)
+        server = SecureLinkServer(Key.from_hex(key_hex), port=0,
+                                  config=REFERENCE)
         loop.run_until_complete(server.start())
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
@@ -309,7 +319,8 @@ class TestObservabilityCli:
 
         key_hex = "03:25:71:46"
         loop = asyncio.new_event_loop()
-        server = SecureLinkServer(Key.from_hex(key_hex), port=0)
+        server = SecureLinkServer(Key.from_hex(key_hex), port=0,
+                                  config=REFERENCE)
         loop.run_until_complete(server.start())
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
@@ -431,7 +442,7 @@ class TestKexCli:
         from repro.net import SecureLinkServer
 
         codec = Codec(Key.from_hex(self.KEY_HEX))
-        server = SecureLinkServer(codec.key, port=0,
+        server = SecureLinkServer(codec.key, port=0, config=REFERENCE,
                                   kex=_resolve_kex(codec, "serve", "ecdh"))
         loop = asyncio.new_event_loop()
         loop.run_until_complete(server.start())

@@ -39,7 +39,7 @@ class TestHardwareSoftwareInterop:
         from repro.core import mhhea
 
         recovered = mhhea.decrypt_bits(run.vectors, key16, len(bits),
-                                       frame_bits=16)
+                                       frame_bits=16, engine="reference")
         assert bits_to_bytes(recovered) == plaintext
 
 
