@@ -16,6 +16,8 @@ returns.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.errors import SessionError
 from repro.link.events import LinkEvent, PayloadReceived, ProtocolError
 from repro.link.protocol import OPEN, LinkProtocol, _resolve_root
@@ -76,8 +78,8 @@ class LinkPair:
                  session_id: bytes | None = None, *,
                  responder_root=None,
                  responder_config: SessionConfig | None = None,
-                 initiator_metrics: SessionMetrics | None = None,
-                 responder_metrics: SessionMetrics | None = None,
+                 initiator_metrics: SessionMetrics | Callable | None = None,
+                 responder_metrics: SessionMetrics | Callable | None = None,
                  i2r_filter=None, r2i_filter=None,
                  kex=None, responder_kex=None):
         self.initiator = LinkProtocol(root, "initiator", config=config,
@@ -184,17 +186,15 @@ class MemoryLinkServer:
             _check_inline(config, "memory")
         name = f"peer-{self._next_peer}"
         self._next_peer += 1
-        metrics = self.metrics.session(name)
         try:
-            pair = LinkPair(root, config=config, session_id=session_id,
-                            responder_root=self._root,
-                            responder_config=self._config,
-                            responder_metrics=metrics,
-                            kex=kex, responder_kex=self._kex)
+            pair = LinkPair(
+                root, config=config, session_id=session_id,
+                responder_root=self._root, responder_config=self._config,
+                responder_metrics=lambda: self.metrics.session(name),
+                kex=kex, responder_kex=self._kex)
             pair.handshake()
         except Exception as exc:
             self.errors.append(f"{name}: {exc}")
-            self.metrics.sessions.pop(name, None)  # no slot for failures
             raise
         return MemoryLinkClient(pair, self._handler)
 

@@ -48,6 +48,7 @@ pre-shared path stays wire-pinned.
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 from typing import Callable
 
 from repro.core.errors import (
@@ -227,16 +228,22 @@ class LinkProtocol:
         self._session: Session | None = None
         self._state = HANDSHAKE
         self._peer_closed = False
-        #: Datagram-mode only: damaged/replayed/stale datagrams dropped.
-        self.datagrams_dropped = 0
         #: Stream-mode only: bytes received (and dropped) after the peer's
         #: clean half-close — a conforming peer sends nothing after EOF.
         self.bytes_after_close = 0
-        # Observability: instruments are bound once at construction from
-        # the then-current registry — when obs is disabled these are the
-        # shared no-op singletons, so the hot path pays one empty call.
+        # Observability: instruments and the drop-count collector bind
+        # once at construction to the then-current registry — when obs
+        # is disabled these are the shared no-op singletons, so the hot
+        # path pays one empty call.  The drop counts live apart from the
+        # machine, so the collector does not keep the machine alive.
         registry = _obs.get_registry()
         self._obs = registry
+        drops = self._drops = SimpleNamespace(datagrams=0, after_close=0)
+        registry.collect(self, lambda: (
+            ("counter", "repro_link_drops_total", (("reason", "datagram"),),
+             drops.datagrams),
+            ("counter", "repro_link_drops_total",
+             (("reason", "after-close"),), drops.after_close)))
         self._handshake_start = registry.clock() if registry.enabled else 0.0
         self._obs_frames_rx = registry.counter(
             "repro_link_frames_total", direction="rx")
@@ -247,10 +254,6 @@ class LinkProtocol:
         self._obs_handshake = registry.histogram(
             "repro_link_handshake_seconds",
             help="Construction-to-OPEN handshake latency.")
-        self._obs_datagram_drops = registry.counter(
-            "repro_link_drops_total", reason="datagram")
-        self._obs_after_close_drops = registry.counter(
-            "repro_link_drops_total", reason="after-close")
         if role == "initiator":
             if session_id is None:
                 session_id = os.urandom(8)
@@ -325,6 +328,11 @@ class LinkProtocol:
         ``None`` on pre-shared links that never ran hello-v2.
         """
         return self._kex.tenant_id if self._kex is not None else None
+
+    @property
+    def datagrams_dropped(self) -> int:
+        """Datagram-mode only: damaged/replayed/stale datagrams dropped."""
+        return self._drops.datagrams
 
     @property
     def peer_closed(self) -> bool:
@@ -579,30 +587,26 @@ class LinkProtocol:
                           to=state).inc()
 
     def _drop_datagram(self, reason: str) -> None:
-        self.datagrams_dropped += 1
-        self._obs_datagram_drops.inc()
-        if self._obs.enabled:
-            log_event("repro.link", "link.datagram_drop", level=30,
-                      role=self.role, reason=reason)
+        self._drops.datagrams += 1
+        log_event("repro.link", "link.datagram_drop", level=30,
+                  role=self.role, reason=reason)
 
     def _drop_after_close(self, n_bytes: int) -> None:
         """Account bytes a peer sent after its own clean half-close."""
         self.bytes_after_close += n_bytes
-        self._obs_after_close_drops.inc()
-        if self._obs.enabled:
-            log_event("repro.link", "link.after_close_drop", level=30,
-                      role=self.role, dropped_bytes=n_bytes,
-                      total_bytes=self.bytes_after_close)
+        self._drops.after_close += 1
+        log_event("repro.link", "link.after_close_drop", level=30,
+                  role=self.role, dropped_bytes=n_bytes,
+                  total_bytes=self.bytes_after_close)
 
     def _fail(self, error: ReproError) -> list[LinkEvent]:
         """Break the machine: drop queued output, emit the error event."""
         previous, self._state = self._state, FAILED
         self._obs.counter("repro_link_state_transitions_total",
                           to=FAILED).inc()
-        if self._obs.enabled:
-            log_event("repro.link", "link.fail", level=30, role=self.role,
-                      state=previous, error=type(error).__name__,
-                      detail=str(error))
+        log_event("repro.link", "link.fail", level=30, role=self.role,
+                  state=previous, error=type(error).__name__,
+                  detail=str(error))
         self._out.clear()
         self._out_size = 0
         return [ProtocolError(error)]

@@ -12,20 +12,21 @@ resulting Mbps next to the paper's hardware Table 1 numbers.
 The clock is injectable so tests (and deterministic benchmarks) can pin
 elapsed time instead of depending on the wall clock.
 
-This layer is now a facade over :mod:`repro.obs`: the plain
-``metrics.tx.packets``-style counters stay (cheap, always on, the wire
-tests read them directly), and when observability is enabled every
-``record_*`` call mirrors into the process-wide registry as
-``repro_session_*`` series and typed ``repro.net.session`` log events.
-Registries also learned to forget: :meth:`MetricsRegistry.remove` folds
-a closed session into retired aggregates so a long-lived server does
-not grow a dict entry per connection forever.
+These always-on ``metrics.tx.packets``-style counters are the only
+ledger: the obs registry current when a :class:`SessionMetrics` is built
+reads them as ``repro_session_*`` and
+``repro_link_drops_total{reason=gap|replay|crc}`` series when scraped.
+A :class:`MetricsRegistry` slot lives exactly as long as its session.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 from repro.obs import core as _obs
@@ -60,6 +61,20 @@ class DirectionCounters:
         return self.wire_bytes / self.payload_bytes
 
 
+def _session_samples(tx: DirectionCounters, rx: DirectionCounters) -> list:
+    """One session's exported series (see ``ObsRegistry.collect``)."""
+    samples = [("counter", f"repro_session_{field}_total",
+                (("direction", direction),), getattr(counters, field))
+               for direction, counters in (("tx", tx), ("rx", rx))
+               for field in ("packets", "payload_bytes", "wire_bytes",
+                             "rekeys")]
+    for reason, value in (("gap", rx.gaps), ("replay", rx.replays),
+                          ("crc", rx.crc_failures)):
+        samples.append(("counter", "repro_link_drops_total",
+                        (("reason", reason),), value))
+    return samples
+
+
 class SessionMetrics:
     """Counters plus timing for one duplex session.
 
@@ -71,37 +86,22 @@ class SessionMetrics:
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
         self._start = clock()
-        self._last_activity = self._start
         self.tx = DirectionCounters()
         self.rx = DirectionCounters()
+        _obs.get_registry().collect(
+            self, partial(_session_samples, self.tx, self.rx))
 
     def elapsed(self) -> float:
         """Seconds since the session started (never zero)."""
         return max(self._clock() - self._start, 1e-9)
 
-    def idle(self) -> float:
-        """Seconds since the last ``record_*`` call (0 for a new session)."""
-        return max(self._clock() - self._last_activity, 0.0)
-
     # -- recording (the session halves call these on the hot path) ---------
-
-    def _touch(self) -> None:
-        self._last_activity = self._clock()
 
     def record_tx(self, payload_bytes: int, wire_bytes: int) -> None:
         """Account one encrypted-and-sent packet."""
         self.tx.packets += 1
         self.tx.payload_bytes += payload_bytes
         self.tx.wire_bytes += wire_bytes
-        self._touch()
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("repro_session_packets_total",
-                             direction="tx").inc()
-            registry.counter("repro_session_payload_bytes_total",
-                             direction="tx").inc(payload_bytes)
-            registry.counter("repro_session_wire_bytes_total",
-                             direction="tx").inc(wire_bytes)
 
     def record_rx(self, payload_bytes: int, wire_bytes: int,
                   gap: int = 0) -> None:
@@ -111,47 +111,21 @@ class SessionMetrics:
         self.rx.wire_bytes += wire_bytes
         if gap:
             self.rx.gaps += gap
-        self._touch()
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("repro_session_packets_total",
-                             direction="rx").inc()
-            registry.counter("repro_session_payload_bytes_total",
-                             direction="rx").inc(payload_bytes)
-            registry.counter("repro_session_wire_bytes_total",
-                             direction="rx").inc(wire_bytes)
-            if gap:
-                registry.counter("repro_link_drops_total",
-                                 reason="gap").inc(gap)
-                log_event("repro.net.session", "session.gap", gap=gap)
+            log_event("repro.net.session", "session.gap", gap=gap)
 
     def record_replay(self, seq: int | None = None) -> None:
         """Account one replayed/stale sequence number (packet rejected)."""
         self.rx.replays += 1
-        self._touch()
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("repro_link_drops_total", reason="replay").inc()
-            log_event("repro.net.session", "session.replay", level=30,
-                      seq=seq)
+        log_event("repro.net.session", "session.replay", level=30, seq=seq)
 
     def record_crc_failure(self) -> None:
         """Account one integrity/decode failure (packet rejected)."""
         self.rx.crc_failures += 1
-        self._touch()
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("repro_link_drops_total", reason="crc").inc()
-            log_event("repro.net.session", "session.crc_failure", level=30)
+        log_event("repro.net.session", "session.crc_failure", level=30)
 
     def record_rekey(self, direction: str, count: int = 1) -> None:
         """Account ``count`` epoch-key ratchets for ``direction``."""
         self._direction(direction).rekeys += count
-        self._touch()
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("repro_session_rekeys_total",
-                             direction=direction).inc(count)
 
     def mbps(self, direction: str = "rx") -> float:
         """Payload megabits per second for ``direction`` (``tx``/``rx``)."""
@@ -197,82 +171,82 @@ class SessionMetrics:
 class MetricsRegistry:
     """Aggregates the per-session metrics of a server (or client pool).
 
-    Live sessions sit in :attr:`sessions`; when a connection closes the
-    server calls :meth:`remove`, which folds that session's counters
-    into retired ``(tx, rx)`` aggregates and drops the dict entry.
-    :meth:`aggregate` therefore stays lifetime-accurate while the dict
-    stays bounded by the number of *concurrent* links — previously it
-    grew one entry per connection forever.
+    A slot lives exactly as long as its session: held weakly, it folds
+    into retired ``(tx, rx)`` aggregates once the session is garbage.
+    :meth:`aggregate` stays lifetime-accurate while the live table is
+    bounded by the sessions that exist, with no close hook or sweep.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
-        self.sessions: dict[str, SessionMetrics] = {}
+        self._live = weakref.WeakValueDictionary()
         self._retired_tx = DirectionCounters()
         self._retired_rx = DirectionCounters()
         self._retired_count = 0
+        # Dead slots' (tx, rx): appended by finalizers on any thread,
+        # folded under the lock.
+        self._dead: deque = deque()
+        self._lock = threading.Lock()
 
     def session(self, name: str) -> SessionMetrics:
-        """Create (or return) the metrics slot for ``name``."""
-        if name not in self.sessions:
-            self.sessions[name] = SessionMetrics(self._clock)
-        return self.sessions[name]
+        """Create (or return the live) metrics slot for ``name``."""
+        self._settle()  # keeps the dead-slot queue bounded
+        with self._lock:
+            metrics = self._live.get(name)
+            if metrics is None:
+                metrics = self._live[name] = SessionMetrics(self._clock)
+                weakref.finalize(metrics, self._dead.append,
+                                 (metrics.tx, metrics.rx))
+        return metrics
 
-    def remove(self, name: str) -> None:
-        """Retire session ``name``: fold its counters into the lifetime
-        aggregates and free its slot.  Unknown names are a no-op (a
-        connection may die before earning a metrics slot)."""
-        metrics = self.sessions.pop(name, None)
-        if metrics is None:
-            return
-        self._retired_tx.add(metrics.tx)
-        self._retired_rx.add(metrics.rx)
-        self._retired_count += 1
-
-    def evict_idle(self, idle_s: float) -> list[str]:
-        """Retire every session idle for at least ``idle_s`` seconds.
-
-        Returns the retired names.  For transports with no close signal
-        (UDP) or embedders that never call :meth:`remove`."""
-        stale = [name for name, metrics in self.sessions.items()
-                 if metrics.idle() >= idle_s]
-        for name in stale:
-            self.remove(name)
-        return stale
+    def _settle(self) -> tuple:
+        """Fold dead slots; returns ``(live, tx, rx, retired)``: the live
+        ``(name, slot)`` pairs (taken first, so none dies mid-read) and
+        copies of the retired aggregates and count."""
+        with self._lock:
+            live = list(self._live.items())
+            while self._dead:
+                tx, rx = self._dead.popleft()
+                self._retired_tx.add(tx)
+                self._retired_rx.add(rx)
+                self._retired_count += 1
+            tx, rx = DirectionCounters(), DirectionCounters()
+            tx.add(self._retired_tx)
+            rx.add(self._retired_rx)
+            return live, tx, rx, self._retired_count
 
     @property
-    def retired_count(self) -> int:
-        """How many sessions have been retired via :meth:`remove`."""
-        return self._retired_count
+    def sessions(self) -> dict[str, SessionMetrics]:
+        """The live slots by name (a copy)."""
+        return dict(self._settle()[0])
 
     @property
     def total_sessions(self) -> int:
         """Lifetime session count: live slots plus retired ones."""
-        return len(self.sessions) + self._retired_count
+        live, _, _, retired = self._settle()
+        return len(live) + retired
 
     def aggregate(self) -> tuple[DirectionCounters, DirectionCounters]:
         """Summed ``(tx, rx)`` counters across live *and* retired sessions."""
-        tx, rx = DirectionCounters(), DirectionCounters()
-        tx.add(self._retired_tx)
-        rx.add(self._retired_rx)
-        for metrics in self.sessions.values():
+        live, tx, rx, _ = self._settle()
+        for _, metrics in live:
             tx.add(metrics.tx)
             rx.add(metrics.rx)
         return tx, rx
 
     def render(self) -> str:
         """All live sessions plus retired and total rows."""
-        if not self.sessions and not self._retired_count:
+        live, retired_tx, retired_rx, retired = self._settle()
+        if not live and not retired:
             return "no sessions"
-        parts = [metrics.render(name)
-                 for name, metrics in sorted(self.sessions.items())]
-        if self._retired_count:
+        parts = [metrics.render(name) for name, metrics in sorted(live)]
+        if retired:
             parts.append(
-                f"{'retired':<12} {self._retired_count} sessions, "
-                f"tx {self._retired_tx.packets} pkts / "
-                f"{self._retired_tx.payload_bytes} B, "
-                f"rx {self._retired_rx.packets} pkts / "
-                f"{self._retired_rx.payload_bytes} B"
+                f"{'retired':<12} {retired} sessions, "
+                f"tx {retired_tx.packets} pkts / "
+                f"{retired_tx.payload_bytes} B, "
+                f"rx {retired_rx.packets} pkts / "
+                f"{retired_rx.payload_bytes} B"
             )
         tx, rx = self.aggregate()
         parts.append(

@@ -73,11 +73,6 @@ class SecureLinkServer:
     and ``GET /healthz`` reports listener/connection health.  Pass ``0``
     to bind an ephemeral port (read it back from
     ``server.metrics_endpoint.port``).
-
-    ``metrics_eviction_s`` paces a background sweep that retires
-    metrics slots idle for at least that long (folding their counters
-    into the lifetime aggregates) — the guard against a wedged
-    connection pinning its slot forever.  ``0`` disables the sweep.
     """
 
     def __init__(self, root, host: str = "127.0.0.1", port: int = 0,
@@ -85,14 +80,9 @@ class SecureLinkServer:
                  handler: Handler = _echo,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  metrics_port: int | None = None,
-                 kex=None,
-                 metrics_eviction_s: float = 600.0):
+                 kex=None):
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        if metrics_eviction_s < 0:
-            raise ValueError(
-                f"metrics_eviction_s must be >= 0, got {metrics_eviction_s}"
-            )
         root, config = _resolve_root(root, config)
         self._kex = kex
         self._root = root
@@ -109,8 +99,6 @@ class SecureLinkServer:
         self.metrics = MetricsRegistry()
         self.errors: list[str] = []
         self._metrics_port = metrics_port
-        self._metrics_eviction_s = metrics_eviction_s
-        self._eviction_task: asyncio.Task | None = None
         #: The live :class:`repro.obs.MetricsEndpoint` (``metrics_port``
         #: given and the server started), else ``None``.
         self.metrics_endpoint = None
@@ -141,22 +129,6 @@ class SecureLinkServer:
                 host=self._host, port=self._metrics_port,
                 health=self._health)
             await self.metrics_endpoint.start()
-        if self._metrics_eviction_s > 0:
-            # Periodic MetricsRegistry.evict_idle: connections normally
-            # retire their own slot on close, but a wedged connection
-            # (half-open TCP, a peer that never progresses) would pin
-            # its entry forever — this sweep bounds the registry by
-            # *recently active* links on long-running servers.
-            self._eviction_task = asyncio.create_task(self._evict_loop())
-
-    async def _evict_loop(self) -> None:
-        interval = self._metrics_eviction_s
-        while True:
-            await asyncio.sleep(interval)
-            evicted = self.metrics.evict_idle(interval)
-            if evicted and _obs.get_registry().enabled:
-                log_event("repro.net.server", "server.metrics_evicted",
-                          sessions=len(evicted))
 
     def _health(self) -> dict:
         """The ``/healthz`` document for the metrics endpoint."""
@@ -185,10 +157,6 @@ class SecureLinkServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._server = None
-        if self._eviction_task is not None:
-            self._eviction_task.cancel()
-            await asyncio.gather(self._eviction_task, return_exceptions=True)
-            self._eviction_task = None
         if self.metrics_endpoint is not None:
             await self.metrics_endpoint.close()
             self.metrics_endpoint = None
@@ -233,10 +201,9 @@ class SecureLinkServer:
             self.errors.append(f"{name}: {exc}")
             registry.counter("repro_server_errors_total",
                              kind=type(exc).__name__).inc()
-            if registry.enabled:
-                log_event("repro.net.server", "server.connection_error",
-                          level=30, peer=name,
-                          error=type(exc).__name__, detail=str(exc))
+            log_event("repro.net.server", "server.connection_error",
+                      level=30, peer=name,
+                      error=type(exc).__name__, detail=str(exc))
         except (ConnectionError, asyncio.IncompleteReadError) as exc:
             self.errors.append(f"{name}: connection lost ({exc})")
             registry.counter("repro_server_errors_total",
@@ -247,10 +214,6 @@ class SecureLinkServer:
             # a failed connection would exhaust descriptors under churn.
             self._connections.discard(task)
             active.dec()
-            # Retire the metrics slot: its counters fold into the
-            # registry's lifetime aggregates, so the dict is bounded by
-            # concurrent (not lifetime) connections.
-            self.metrics.remove(name)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -16,6 +16,10 @@ Prometheus text exposition (:meth:`ObsRegistry.render_prometheus`), a
 JSON-able snapshot (:meth:`ObsRegistry.snapshot`) or a human summary
 (:meth:`ObsRegistry.render`).
 
+Facts a layer already counts (session packets, link drops, relay
+sheds) are not mirrored into instruments: the registry reads the
+owner's counters when scraped (:meth:`ObsRegistry.collect`).
+
 **Disabled by default, no-ops when disabled.**  The default registry is
 a :class:`NullRegistry` whose instrument accessors return shared
 singletons with empty method bodies, so instrumented hot paths pay one
@@ -33,10 +37,13 @@ the import closure of the sans-IO :mod:`repro.link` core (enforced by
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import time
+import weakref
 from bisect import bisect_left
+from collections import deque
 from typing import Callable
 
 __all__ = [
@@ -333,6 +340,13 @@ class ObsRegistry:
         self._instruments: dict[tuple, object] = {}
         #: Family metadata: name -> (kind, help text).
         self._families: dict[str, tuple[str, str]] = {}
+        # Collected owners' samples by key; dead owners' keys (queued by
+        # finalizers on any thread); their folded counters; help texts.
+        self._collectors: dict[int, Callable] = {}
+        self._dead: deque = deque()
+        self._folded: dict[tuple, int | float] = {}
+        self._collected_help: dict[str, str] = {}
+        self._keys = itertools.count()
 
     # -- instrument access -------------------------------------------------
 
@@ -389,14 +403,59 @@ class ObsRegistry:
 
         return Span(name, registry=self)
 
+    def collect(self, owner, samples: Callable,
+                help: dict | None = None) -> None:
+        """Read ``owner``'s own counters and gauges on every scrape (the
+        Prometheus custom-collector pattern).
+
+        ``samples()`` returns ``(kind, name, labels, value)`` tuples —
+        ``"counter"``/``"gauge"``, sorted ``(label, value)`` string
+        pairs as in :attr:`Counter.labels` — summed with equal series;
+        ``help`` maps family names to ``# HELP`` text.  The owner is
+        held weakly (``samples`` must not reference it): once it is
+        collected its final counters fold in, so they never go
+        backwards, and its gauges disappear.
+        """
+        key = next(self._keys)
+        with self._lock:
+            self._fold_dead()
+            self._collectors[key] = samples
+            self._collected_help.update(help or {})
+        weakref.finalize(owner, self._dead.append, key)
+
+    def _fold_dead(self) -> None:
+        """Fold dead owners' final counter samples (lock held)."""
+        while self._dead:
+            samples = self._collectors.pop(self._dead.popleft(), None)
+            if samples is None:
+                continue  # registered before a reset()
+            for kind, name, labels, value in samples():
+                if kind == "counter":
+                    key = (name, labels)
+                    self._folded[key] = self._folded.get(key, 0) + value
+
     # -- introspection / exposition ----------------------------------------
 
-    def _sorted_series(self):
-        """Deterministic iteration: by family name, then label tuple."""
-        return sorted(self._instruments.items(), key=lambda item: item[0])
+    def _series(self) -> list:
+        """Sorted ``((name, labels), (kind, value))``; counters and gauges
+        sum instruments, folded totals and live owners."""
+        with self._lock:
+            self._fold_dead()
+            live = list(self._collectors.values())
+            merged = {key: ("counter", value)
+                      for key, value in self._folded.items()}
+        samples = [sample for collected in live for sample in collected()]
+        samples += [(inst.kind, inst.name, inst.labels,
+                     inst if inst.kind == "histogram" else inst.value)
+                    for inst in list(self._instruments.values())]
+        for kind, name, labels, value in samples:
+            prior = merged.get((name, labels))
+            merged[name, labels] = (kind, value if prior is None
+                                    else prior[1] + value)
+        return sorted(merged.items())
 
     def snapshot(self) -> dict:
-        """Plain-dict view of every instrument (stable keys, JSON-able).
+        """Plain-dict view of every series (stable keys, JSON-able).
 
         Counters and gauges map ``"name{label=value,...}"`` to their
         value; histograms additionally carry count/sum and interpolated
@@ -405,22 +464,22 @@ class ObsRegistry:
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}
-        for (name, labels), instrument in self._sorted_series():
+        for (name, labels), (kind, value) in self._series():
             series = name
             if labels:
                 inner = ",".join(f"{k}={v}" for k, v in labels)
                 series = f"{name}{{{inner}}}"
-            if instrument.kind == "counter":
-                counters[series] = instrument.value
-            elif instrument.kind == "gauge":
-                gauges[series] = instrument.value
+            if kind == "counter":
+                counters[series] = value
+            elif kind == "gauge":
+                gauges[series] = value
             else:
                 histograms[series] = {
-                    "count": instrument.count,
-                    "sum": instrument.sum,
-                    "p50": instrument.quantile(0.5),
-                    "p90": instrument.quantile(0.9),
-                    "p99": instrument.quantile(0.99),
+                    "count": value.count,
+                    "sum": value.sum,
+                    "p50": value.quantile(0.5),
+                    "p90": value.quantile(0.9),
+                    "p99": value.quantile(0.99),
                 }
         return {"enabled": True, "counters": counters, "gauges": gauges,
                 "histograms": histograms}
@@ -429,18 +488,18 @@ class ObsRegistry:
         """The registry in Prometheus text exposition format (0.0.4)."""
         lines: list[str] = []
         seen_families: set[str] = set()
-        for (name, labels), instrument in self._sorted_series():
+        for (name, labels), (kind, value) in self._series():
             if name not in seen_families:
                 seen_families.add(name)
-                kind, help_text = self._families[name]
+                family_kind, help_text = self._families.get(
+                    name, (kind, self._collected_help.get(name, "")))
                 if help_text:
                     lines.append(f"# HELP {name} {_escape_help(help_text)}")
-                lines.append(f"# TYPE {name} {kind}")
-            if instrument.kind == "histogram":
+                lines.append(f"# TYPE {name} {family_kind}")
+            if kind == "histogram":
                 cumulative = 0
                 for bound, bucket_count in zip(
-                        (*instrument.buckets, float("inf")),
-                        instrument.bucket_counts):
+                        (*value.buckets, float("inf")), value.bucket_counts):
                     cumulative += bucket_count
                     le = "+Inf" if bound == float("inf") else _format_value(bound)
                     lines.append(
@@ -448,12 +507,12 @@ class ObsRegistry:
                         f"{cumulative}"
                     )
                 lines.append(f"{name}_sum{_label_text(labels)} "
-                             f"{_format_value(instrument.sum)}")
+                             f"{_format_value(value.sum)}")
                 lines.append(f"{name}_count{_label_text(labels)} "
-                             f"{instrument.count}")
+                             f"{value.count}")
             else:
                 lines.append(f"{name}{_label_text(labels)} "
-                             f"{_format_value(instrument.value)}")
+                             f"{_format_value(value)}")
         return "\n".join(lines) + "\n" if lines else "\n"
 
     def render(self) -> str:
@@ -474,10 +533,14 @@ class ObsRegistry:
         return "\n".join(["obs:"] + rows)
 
     def reset(self) -> None:
-        """Drop every instrument (tests and long-lived CLI sessions)."""
+        """Drop every instrument, collector and folded total (tests and
+        long-lived CLI sessions)."""
         with self._lock:
             self._instruments.clear()
             self._families.clear()
+            self._collectors.clear()
+            self._folded.clear()
+            self._collected_help.clear()
 
 
 class NullRegistry:
@@ -512,6 +575,10 @@ class NullRegistry:
     def span(self, name: str):
         """The shared no-op context manager (no clock reads)."""
         return NULL_INSTRUMENT
+
+    def collect(self, owner, samples: Callable,
+                help: dict | None = None) -> None:
+        """No-op: a disabled registry exports nothing."""
 
     def snapshot(self) -> dict:
         """An empty snapshot marked disabled."""

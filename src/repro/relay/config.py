@@ -80,10 +80,6 @@ class RelayConfig:
     max_channel_bytes: int = 64
     #: Resumption-ticket lifetime for the relay's vault.
     ticket_lifetime_s: float = 3600.0
-    #: Retire per-link metrics slots idle longer than this on every
-    #: :meth:`~repro.relay.RelayCore.poll` (0 disables) — the wiring
-    #: for ``MetricsRegistry.evict_idle``.
-    metrics_eviction_s: float = 60.0
     #: Cipher engine for every relay-side link session (the registry
     #: default unless named; every engine is wire-identical, see
     #: repro.core.engines).
@@ -116,8 +112,6 @@ class RelayConfig:
             raise SessionError("max_channel_bytes must be >= 1")
         if self.ticket_lifetime_s <= 0:
             raise SessionError("ticket_lifetime_s must be > 0")
-        if self.metrics_eviction_s < 0:
-            raise SessionError("metrics_eviction_s must be >= 0")
         check_engine_name(self.engine)
         if self.allowed_tenants is not None:
             for tenant in self.allowed_tenants:
@@ -135,8 +129,7 @@ _CONFIG_KEYS = (
     "max_links", "max_links_per_tenant", "handshake_rate",
     "handshake_burst", "handshake_timeout_s", "idle_timeout_s",
     "max_frames_per_link", "max_bytes_per_link", "egress_queue_payloads",
-    "egress_policy", "max_channel_bytes", "ticket_lifetime_s",
-    "metrics_eviction_s", "engine",
+    "egress_policy", "max_channel_bytes", "ticket_lifetime_s", "engine",
 )
 
 

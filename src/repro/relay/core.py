@@ -13,9 +13,10 @@ No asyncio, no sockets (policed by ``tests/link/test_sans_io.py``):
 adapters push bytes in with :meth:`receive_data`, pull bytes out with
 :meth:`data_to_send`, and tick deadlines with :meth:`poll` on an
 injectable clock.  Every decision comes back as a typed event from
-:mod:`repro.relay.events`, and every shed decision is double-entry
-bookkeeping: a typed event *and* a ``repro_relay_shed_total{reason=}``
-increment, reconciled exactly by the scenario harness.
+:mod:`repro.relay.events`, and every shed decision is counted once, in
+:attr:`RelayCore.shed`, which the obs registry exports as
+``repro_relay_shed_total{reason=}`` when scraped; the scenario harness
+reconciles events, ledger and export exactly.
 
 Wire protocol above the secure link (all inside encrypted payloads)::
 
@@ -29,6 +30,8 @@ Wire protocol above the secure link (all inside encrypted payloads)::
 from __future__ import annotations
 
 import time
+from functools import partial
+from types import SimpleNamespace
 
 from repro.core.errors import SessionError, TenantRevokedError
 from repro.kex.handshake import KexConfig
@@ -63,6 +66,16 @@ __all__ = ["RelayCore"]
 
 #: Histogram buckets for routed fan-out (receivers per payload).
 _FANOUT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: ``# HELP`` text of the series a relay core exports.
+_HELP = {
+    "repro_relay_shed_total": "Relay load-shedding decisions by reason.",
+    "repro_relay_routed_payloads_total": "Payloads fanned out by the relay.",
+    "repro_relay_routed_bytes_total":
+        "Plaintext bytes queued to receivers by the relay.",
+    "repro_relay_links_active": "Links currently admitted to the relay.",
+    "repro_relay_tenant_links": "Live links per authenticated tenant.",
+}
 
 
 def _tenant_label(tenant_id: bytes) -> str:
@@ -145,29 +158,36 @@ class RelayCore:
         self.metrics = MetricsRegistry(clock=clock)
         self._links: dict = {}
         self._next_id = 0
-        self._last_eviction = clock()
-        #: The shed ledger: reason -> count, mirrored one-for-one into
+        #: The shed ledger: reason -> count, exported as
         #: ``repro_relay_shed_total{reason=}`` — the reconciliation
         #: ground truth for the flood scenarios.
         self.shed: dict = {}
-        self.routed_payloads = 0
-        self.routed_bytes = 0
+        routed = self._routed = SimpleNamespace(payloads=0, bytes=0)
+        shed, links = self.shed, self._links
+        tenant_links = self.admission.tenant_links
+
+        def samples() -> list:
+            # Reads only the ledgers, never ``self``: the registry must
+            # not keep the core alive.
+            out = [("counter", "repro_relay_routed_payloads_total", (),
+                    routed.payloads),
+                   ("counter", "repro_relay_routed_bytes_total", (),
+                    routed.bytes),
+                   ("gauge", "repro_relay_links_active", (), len(links))]
+            out += [("counter", "repro_relay_shed_total",
+                     (("reason", reason),), count)
+                    for reason, count in list(shed.items())]
+            out += [("gauge", "repro_relay_tenant_links",
+                     (("tenant", _tenant_label(tenant)),), count)
+                    for tenant, count in list(tenant_links.items())]
+            return out
+
         registry = _obs.get_registry()
-        self._obs = registry
-        self._obs_active = registry.gauge(
-            "repro_relay_links_active",
-            help="Links currently admitted to the relay.")
-        self._obs_routed_payloads = registry.counter(
-            "repro_relay_routed_payloads_total",
-            help="Payloads fanned out by the relay.")
-        self._obs_routed_bytes = registry.counter(
-            "repro_relay_routed_bytes_total",
-            help="Plaintext bytes queued to receivers by the relay.")
+        registry.collect(self, samples, help=_HELP)
         self._obs_fanout = registry.histogram(
             "repro_relay_fanout_receivers",
             help="Receivers per routed payload.",
             buckets=_FANOUT_BUCKETS)
-        self._shed_counters: dict = {}
 
     # -- introspection ----------------------------------------------------
 
@@ -175,6 +195,16 @@ class RelayCore:
     def config(self) -> RelayConfig:
         """The (validated) policy this relay runs under."""
         return self._config
+
+    @property
+    def routed_payloads(self) -> int:
+        """Payloads fanned out so far."""
+        return self._routed.payloads
+
+    @property
+    def routed_bytes(self) -> int:
+        """Plaintext bytes queued to receivers so far."""
+        return self._routed.bytes
 
     @property
     def active_links(self) -> int:
@@ -227,10 +257,11 @@ class RelayCore:
         proto = LinkProtocol(
             None, "responder", SessionConfig(engine=self._config.engine),
             kex=self._kex_config,
-            metrics=lambda name=f"relay-{link_id}": self.metrics.session(name),
+            # Bound to the metrics registry, not the core: the obs
+            # collector reads ``_links``, so a link must not reach back.
+            metrics=partial(self.metrics.session, f"relay-{link_id}"),
         )
         self._links[link_id] = _Link(link_id, proto, now)
-        self._obs_active.set(len(self._links))
         return link_id, [LinkAdmitted(link_id)]
 
     # -- inbound -----------------------------------------------------------
@@ -284,12 +315,6 @@ class RelayCore:
             return [LinkRejected(link.link_id, reason, tenant_id=tenant_id)]
         link.tenant_id = tenant_id
         link.tenant_admitted = True
-        if self._obs.enabled:
-            self._obs.gauge(
-                "repro_relay_tenant_links",
-                help="Live links per authenticated tenant.",
-                tenant=_tenant_label(tenant_id),
-            ).set(self.admission.tenant_links[tenant_id])
         return [LinkOpen(link.link_id, tenant_id)]
 
     def _on_payload(self, link: _Link, payload: bytes) -> list:
@@ -319,11 +344,8 @@ class RelayCore:
             side_events.extend(dropped)
             if delivered:
                 receivers += 1
-        self.routed_payloads += 1
-        self.routed_bytes += len(payload) * receivers
-        self._obs_routed_payloads.inc()
-        if receivers:
-            self._obs_routed_bytes.inc(len(payload) * receivers)
+        self._routed.payloads += 1
+        self._routed.bytes += len(payload) * receivers
         self._obs_fanout.observe(receivers)
         return [PayloadRouted(link.link_id, link.channel, receivers,
                               len(payload))] + side_events
@@ -398,12 +420,7 @@ class RelayCore:
     # -- deadlines ---------------------------------------------------------
 
     def poll(self, now: "float | None" = None) -> list:
-        """Enforce handshake/idle deadlines; call on a coarse timer.
-
-        Also runs the periodic ``MetricsRegistry.evict_idle`` sweep so
-        a long-running relay's metrics table cannot grow unbounded on
-        wedged links.
-        """
+        """Enforce handshake/idle deadlines; call on a coarse timer."""
         now = self._clock() if now is None else now
         cfg = self._config
         events: list = []
@@ -416,10 +433,6 @@ class RelayCore:
             elif cfg.idle_timeout_s:
                 if now - link.last_activity >= cfg.idle_timeout_s:
                     events.extend(self._shed(link, "idle-timeout"))
-        if (cfg.metrics_eviction_s
-                and now - self._last_eviction >= cfg.metrics_eviction_s):
-            self.metrics.evict_idle(cfg.metrics_eviction_s)
-            self._last_eviction = now
         return events
 
     # -- internals ---------------------------------------------------------
@@ -439,28 +452,13 @@ class RelayCore:
         tenant_id = link.tenant_id if (link.tenant_admitted and count_tenant) \
             else None
         self.admission.release(tenant_id)
-        if tenant_id is not None and self._obs.enabled:
-            self._obs.gauge(
-                "repro_relay_tenant_links",
-                tenant=_tenant_label(tenant_id),
-            ).set(self.admission.tenant_links.get(tenant_id, 0))
-        self.metrics.remove(f"relay-{link.link_id}")
         link.proto.close()
         link.egress.clear()
         del self._links[link.link_id]
-        self._obs_active.set(len(self._links))
         return [LinkRetired(link.link_id, reason)]
 
     def _count_shed(self, reason: str) -> None:
         self.shed[reason] = self.shed.get(reason, 0) + 1
-        counter = self._shed_counters.get(reason)
-        if counter is None:
-            counter = self._obs.counter(
-                "repro_relay_shed_total",
-                help="Relay load-shedding decisions by reason.",
-                reason=reason)
-            self._shed_counters[reason] = counter
-        counter.inc()
 
     def __repr__(self) -> str:
         return (f"<RelayCore links={self.active_links} "

@@ -7,8 +7,8 @@ tasks — a reader feeding :meth:`RelayCore.receive_data` and a writer
 draining :meth:`RelayCore.data_to_send` — joined by an
 :class:`asyncio.Event` the core pings through its ``on_egress`` hook
 whenever routing queues new output for the link.  A periodic poll task
-ticks the core's deadline sweep (handshake/idle timeouts and the
-metrics idle eviction) so a relay full of silent links still sheds.
+ticks the core's deadline sweep (handshake/idle timeouts) so a relay
+full of silent links still sheds.
 
 Backpressure is the egress queue itself: the writer awaits
 ``writer.drain()``, so a stalled TCP peer stops the drain loop, the

@@ -18,8 +18,8 @@ accounts must reconcile **exactly**:
   ``rx.rekeys``) match the mirror's counts — and corrupted nonces
   provoke *no* epoch movement at all, because receiver state commits
   only after a packet authenticates;
-* the process-wide obs counters (``repro_link_drops_total{reason=...}``)
-  agree with the per-protocol counters they shadow;
+* the process-wide obs export (``repro_link_drops_total{reason=...}``)
+  agrees with the per-protocol and per-session counters it reads;
 * and the link is *not wedged*: both ends are still ``OPEN`` and a
   fault-free probe payload still round-trips in each direction.
 
@@ -204,8 +204,8 @@ class FaultyLink:
     :meth:`verify` to reconcile.
 
     Construct the process-wide obs registry *before* this object if you
-    want the obs cross-checks: the protocols bind their instruments at
-    construction (:func:`run_scenario` handles this).
+    want the obs cross-checks: the protocols and session metrics bind to
+    the registry at construction (:func:`run_scenario` handles this).
     """
 
     def __init__(self, root, config: SessionConfig | None = None,
@@ -543,11 +543,12 @@ class FaultyLink:
         return problems
 
     def _verify_obs(self) -> list[str]:
-        """Check the obs counters shadowing the per-protocol ledgers."""
+        """Check the exported drop series against the oracle's ledgers."""
         registry = _obs.get_registry()
         if not registry.enabled:
             return []
         problems = []
+        exported = registry.snapshot()["counters"]
         datagram_drops = self.initiator.datagrams_dropped \
             + self.responder.datagrams_dropped
         checks = (
@@ -556,8 +557,7 @@ class FaultyLink:
             ("crc", sum(o.drops["crc"] for o in self.oracles.values())),
         )
         for reason, want in checks:
-            got = registry.counter("repro_link_drops_total",
-                                   reason=reason).value
+            got = exported.get(f"repro_link_drops_total{{reason={reason}}}", 0)
             if got != want:
                 problems.append(
                     f"obs: repro_link_drops_total{{reason={reason}}} = "

@@ -446,17 +446,16 @@ class TestAfterCloseAccounting:
         registry = obs.ObsRegistry()
         previous = obs.set_registry(registry)
         try:
-            # Instruments bind at construction: build the pair while the
-            # live registry is installed.
+            # The drop counts bind at construction: build the pair while
+            # the live registry is installed.
             pair = handshaken(key16)
             pair.responder.receive_eof()
             with caplog.at_level(logging.WARNING, logger="repro.link"):
                 pair.responder.receive_data(b"zombie bytes")
         finally:
             obs.set_registry(previous if previous.enabled else None)
-        counter = registry.counter("repro_link_drops_total",
-                                   reason="after-close")
-        assert counter.value == 1
+        exported = registry.snapshot()["counters"]
+        assert exported["repro_link_drops_total{reason=after-close}"] == 1
         assert "after_close_drop" in caplog.text
 
 

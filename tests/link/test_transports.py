@@ -47,8 +47,8 @@ class TestMemoryTransport:
                 assert client.send_all(PAYLOADS) == PAYLOADS
                 assert client.metrics.tx.packets == len(PAYLOADS)
                 assert client.metrics.tx.rekeys == 1
-        name = next(iter(server.metrics.sessions))
-        assert server.metrics.sessions[name].rx.packets == len(PAYLOADS)
+        assert server.metrics.total_sessions == 1
+        assert server.metrics.aggregate()[1].packets == len(PAYLOADS)
 
     def test_handler_transforms(self, key16, engine):
         config = SessionConfig(engine=engine)
@@ -78,7 +78,7 @@ class TestMemoryTransport:
             with pytest.raises(HandshakeError, match="fingerprint"):
                 server.connect(session_id=SID, root=other, config=config)
             assert any("fingerprint" in err for err in server.errors)
-            assert server.metrics.sessions == {}  # no slot for failures
+            assert server.metrics.total_sessions == 0  # no slot for failures
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -99,7 +99,7 @@ class TestSyncTransport:
                 with SyncLinkClient(key16, port=server.port, config=config,
                                     session_id=tag * 8) as client:
                     assert client.request(tag) == tag
-            assert len(server.metrics.sessions) == 2
+            assert server.metrics.total_sessions == 2
 
     def test_wrong_key_raises_and_closes_socket(self, key16, engine):
         other = Key.generate(seed=31337, n_pairs=16)
@@ -162,7 +162,7 @@ class TestUdpTransport:
                                    session_id=b"B" * 8) as two:
                     assert one.request(b"one") == b"one"
                     assert two.request(b"two") == b"two"
-            assert len(server.metrics.sessions) == 2
+            assert server.metrics.total_sessions == 2
 
 
 class TestUdpBestEffort:

@@ -83,69 +83,41 @@ class TestRegistry:
     def test_render_empty_and_populated(self):
         registry = MetricsRegistry(FakeClock())
         assert registry.render() == "no sessions"
-        registry.session("peer-0").rx.packets = 1
+        slot = registry.session("peer-0")
+        slot.rx.packets = 1
         text = registry.render()
         assert "peer-0" in text and "total" in text
 
 
 class TestRegistryEviction:
-    """The registry must stay bounded by *concurrent* sessions."""
+    """The registry must stay bounded by the sessions that exist."""
 
-    def test_remove_folds_counters_into_lifetime_aggregate(self):
+    def test_dropped_session_folds_counters_into_lifetime_aggregate(self):
         registry = MetricsRegistry(FakeClock())
-        registry.session("a").record_rx(100, 150)
-        registry.session("a").record_tx(40, 60)
-        registry.session("b").record_rx(10, 15)
-        registry.remove("a")
+        a, b = registry.session("a"), registry.session("b")
+        a.record_rx(100, 150)
+        a.record_tx(40, 60)
+        b.record_rx(10, 15)
+        del a
         assert "a" not in registry.sessions
-        assert registry.retired_count == 1
         assert registry.total_sessions == 2  # one live + one retired
         tx, rx = registry.aggregate()
         assert rx.packets == 2
         assert rx.payload_bytes == 110
         assert tx.payload_bytes == 40
 
-    def test_remove_unknown_name_is_a_noop(self):
-        registry = MetricsRegistry(FakeClock())
-        registry.remove("never-registered")
-        assert registry.retired_count == 0
-        assert registry.total_sessions == 0
-
     def test_dict_stays_bounded_under_churn(self):
         registry = MetricsRegistry(FakeClock())
         for i in range(1000):
             registry.session(f"peer-{i}").record_rx(1, 2)
-            registry.remove(f"peer-{i}")
         assert registry.sessions == {}
-        assert registry.retired_count == 1000
+        assert registry.total_sessions == 1000
         _, rx = registry.aggregate()
         assert rx.packets == 1000
-
-    def test_evict_idle_retires_only_stale_sessions(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock)
-        registry.session("old").record_rx(1, 2)
-        clock.now += 30.0
-        registry.session("fresh").record_rx(1, 2)
-        evicted = registry.evict_idle(idle_s=10.0)
-        assert evicted == ["old"]
-        assert list(registry.sessions) == ["fresh"]
-        assert registry.total_sessions == 2
-        _, rx = registry.aggregate()
-        assert rx.packets == 2  # retired counters still aggregate
-
-    def test_idle_resets_on_activity(self):
-        clock = FakeClock()
-        metrics = SessionMetrics(clock)
-        clock.now += 5.0
-        assert metrics.idle() == pytest.approx(5.0)
-        metrics.record_tx(1, 2)
-        assert metrics.idle() == 0.0
 
     def test_render_shows_retired_row(self):
         registry = MetricsRegistry(FakeClock())
         registry.session("a").record_rx(3, 5)
-        registry.remove("a")
         text = registry.render()
         assert "retired" in text
         assert "total" in text

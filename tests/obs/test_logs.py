@@ -1,9 +1,16 @@
 """Structured JSON-lines logging: round-trip, hierarchy, default silence."""
 
+import asyncio
 import io
 import json
 import logging
 
+from repro.core.key import Key
+from repro.link.memory import LinkPair
+from repro.link.protocol import LinkProtocol
+from repro.net import SecureLinkClient, SecureLinkServer
+from repro.net.metrics import SessionMetrics
+from repro.obs import core as obs
 from repro.obs.logs import (
     ROOT_LOGGER,
     configure_logging,
@@ -84,3 +91,57 @@ def test_reset_logging_detaches_everything():
     assert stream.getvalue() == ""
     logger = logging.getLogger(ROOT_LOGGER)
     assert all(isinstance(h, logging.NullHandler) for h in logger.handlers)
+
+
+#: Every drop and failure event, none of which needs a live registry.
+DROP_AND_FAILURE_EVENTS = {
+    "session.replay", "session.crc_failure", "session.gap",
+    "link.datagram_drop", "link.after_close_drop", "link.fail",
+    "server.connection_error",
+}
+
+
+def _drop_and_fail_once(key16) -> None:
+    """Provoke each of :data:`DROP_AND_FAILURE_EVENTS` once."""
+    metrics = SessionMetrics()
+    metrics.record_replay(seq=3)
+    metrics.record_crc_failure()
+    metrics.record_rx(10, 15, gap=2)
+    LinkProtocol(key16, "responder", datagram=True).receive_datagram(b"junk")
+    LinkProtocol(key16, "responder").receive_data(bytes(64))
+    pair = LinkPair(key16, session_id=b"logsid01")
+    pair.handshake()
+    pair.responder.receive_eof()
+    pair.responder.receive_data(b"late")
+
+    async def wrong_key_client():
+        async with SecureLinkServer(key16, port=0) as server:
+            client = SecureLinkClient(Key.generate(seed=99, n_pairs=16),
+                                      port=server.port)
+            try:
+                await client.connect()
+            except Exception:
+                pass
+            for _ in range(100):
+                if server.errors:
+                    break
+                await asyncio.sleep(0.01)
+
+    asyncio.run(wrong_key_client())
+
+
+def test_drop_and_failure_events_log_with_obs_off(key16, capfd):
+    obs.set_registry(None)
+    stream = io.StringIO()
+    configure_logging(stream)
+    try:
+        _drop_and_fail_once(key16)
+    finally:
+        reset_logging()
+    events = {json.loads(line)["event"]
+              for line in stream.getvalue().splitlines()}
+    assert DROP_AND_FAILURE_EVENTS <= events
+    # Without a handler the same calls write nothing anywhere.
+    capfd.readouterr()
+    _drop_and_fail_once(key16)
+    assert capfd.readouterr() == ("", "")

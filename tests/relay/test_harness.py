@@ -124,6 +124,7 @@ def test_load_tenant_config(tmp_path):
         "max_links_per_tenant": 10,
         "handshake_rate": 50.0,
         "egress_policy": "disconnect",
+        "metrics_eviction_s": 60.0,  # a retired knob: still loads, ignored
         "tenants": {
             "acme": {},
             "globex": {"revoked": True},
@@ -131,6 +132,7 @@ def test_load_tenant_config(tmp_path):
         },
     }))
     keyring, config = load_tenant_config(path)
+    assert not hasattr(config, "metrics_eviction_s")
     assert config.max_links == 100
     assert config.max_links_per_tenant == 10
     assert config.handshake_rate == 50.0
