@@ -4,8 +4,8 @@ The paper's contribution is making MHHEA fast enough for line-rate link
 encryption in hardware; :mod:`repro.core.fastpath` is the software
 analogue of that speedup.  This bench times both engines end to end
 through the packet codec on a 64 KiB payload (the acceptance workload:
-the fast engine must clear >= 5x on both directions) and the
-:class:`~repro.core.fastpath.BatchCodec` on a burst of link-sized
+the fast engine must clear >= 5x on both directions) and a fast-engine
+:meth:`repro.api.Codec.encrypt_packets` on a burst of link-sized
 payloads.  Timing is min-of-N wall clock — the same convention as the
 throughput numbers in ``repro.analysis`` — and every artefact lands in
 ``benchmarks/_artifacts/``.
@@ -13,7 +13,7 @@ throughput numbers in ``repro.analysis`` — and every artefact lands in
 
 import time
 
-from repro.core.fastpath import BatchCodec
+from repro.api import Codec
 from repro.core.stream import decrypt_packet, encrypt_packet
 
 #: The acceptance payload: 64 KiB.
@@ -76,20 +76,20 @@ def test_fastpath_64k_speedup(bench_key, emit):
     assert dec_speedup >= MIN_SPEEDUP
 
 
-def test_batch_codec_burst(bench_key, emit):
+def test_codec_packets_burst(bench_key, emit):
     # The secure-link shape: many MTU-ish payloads under one schedule.
     payloads = [bytes([i & 0xFF]) * 1024 for i in range(64)]
     nonces = list(range(1, len(payloads) + 1))
-    codec = BatchCodec(bench_key)  # compiles the schedule up front
+    codec = Codec(bench_key, engine="fast")
 
     t_batch, packets = _best_of(
-        lambda: codec.encrypt_many(payloads, nonces), 2)
+        lambda: codec.encrypt_packets(payloads, nonces), 2)
     t_loose, loose = _best_of(
         lambda: [encrypt_packet(p, bench_key, nonce=n, engine="reference")
                  for p, n in zip(payloads, nonces)], 2)
     assert packets == loose
 
-    t_dec, recovered = _best_of(lambda: codec.decrypt_many(packets), 2)
+    t_dec, recovered = _best_of(lambda: codec.decrypt_packets(packets), 2)
     assert recovered == payloads
 
     total_mbits = sum(len(p) for p in payloads) * 8 / 1e6
@@ -97,10 +97,10 @@ def test_batch_codec_burst(bench_key, emit):
         "fastpath_batch",
         "\n".join([
             f"{len(payloads)} x 1 KiB payloads under one key schedule",
-            f"BatchCodec encrypt: {total_mbits / t_batch:8.2f} Mbps "
+            f"Codec.encrypt_packets: {total_mbits / t_batch:8.2f} Mbps "
             f"(reference loop {total_mbits / t_loose:8.2f} Mbps, "
             f"{t_loose / t_batch:.1f}x)",
-            f"BatchCodec decrypt: {total_mbits / t_dec:8.2f} Mbps",
+            f"Codec.decrypt_packets: {total_mbits / t_dec:8.2f} Mbps",
         ]),
     )
     assert t_loose / t_batch >= MIN_SPEEDUP

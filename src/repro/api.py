@@ -37,14 +37,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core import engines as _engines
-from repro.core.errors import CipherFormatError, UnknownEngineError
+from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.obs import core as _obs
 from repro.core.stream import (
     ALGORITHM_HHEA,
     ALGORITHM_MHHEA,
-    HEADER_SIZE,
-    PacketHeader,
     decrypt_packet,
     encrypt_packet,
 )
@@ -65,7 +63,7 @@ from repro.parallel.pipeline import (
     DEFAULT_CHUNK_SIZE,
     ParallelCodec,
 )
-from repro.parallel.pool import EncryptionPool, decrypt_job, encrypt_job
+from repro.parallel.pool import EncryptionPool
 
 __all__ = [
     "Codec",
@@ -119,7 +117,9 @@ class Codec:
     first use and owns it; passing ``pool=`` shares an existing pool
     (never closed by this codec).  Either way the wire bytes are
     identical — pooling, like the engine, is a purely local throughput
-    knob.
+    knob.  Batches and blobs reach the pool only through one
+    :class:`~repro.parallel.pipeline.ParallelCodec`, which makes the
+    inline-or-pool decision for both.
     """
 
     def __init__(self, key, *,
@@ -138,42 +138,21 @@ class Codec:
                 f"key must be a repro.core.key.Key or its hex form, "
                 f"got {type(key).__name__}"
             )
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.key = key
         self.algorithm = _algorithm_id(algorithm)
         #: The resolved engine backend (an Engine instance, never a name).
         self.engine = _engines.get_engine(engine)
-        if workers > 0 or pool is not None:
-            # Pool jobs serialise the engine by *name* and re-resolve it
-            # inside each worker, so a pooled codec needs the name
-            # registered — checked here, eagerly, not on the first
-            # fanned-out call.
-            try:
-                _engines.check_engine_name(self.engine.name)
-            except UnknownEngineError:
-                raise UnknownEngineError(
-                    f"engine {self.engine.name!r} is not registered; pooled "
-                    f"codecs re-resolve the engine by name inside worker "
-                    f"processes, so register_engine({self.engine.name!r}, "
-                    f"...) first (or stay inline with workers=0)"
-                ) from None
+        # Validates workers, chunk_size and whether a pooled engine can
+        # be re-resolved by name inside the workers.
+        self._parallel = ParallelCodec(key, workers, chunk_size=chunk_size,
+                                       algorithm=self.algorithm,
+                                       engine=self.engine, pool=pool)
         self.workers = workers
         self.chunk_size = chunk_size
         self.parallel_threshold = parallel_threshold
         self.rekey_interval = rekey_interval
         self.max_payload = max_payload
-        self._shared_pool = pool
-        self._own_pool: EncryptionPool | None = None
         self._closed = False
-        # The inline blob codec; pooling is managed here, lazily, and a
-        # pooled sibling is built (once) the first time a pool exists.
-        self._blobs = ParallelCodec(key, chunk_size=chunk_size,
-                                    algorithm=self.algorithm,
-                                    engine=self.engine)
-        self._pooled_blobs: ParallelCodec | None = None
 
     # -- introspection ----------------------------------------------------
 
@@ -190,7 +169,7 @@ class Codec:
     @property
     def pool(self) -> EncryptionPool | None:
         """The bound pool, if any (shared, or owned-and-started)."""
-        return self._shared_pool if self._shared_pool is not None else self._own_pool
+        return self._parallel.pool
 
     def _check_open(self) -> None:
         """Uniform use-after-close guard for every crypto entry point.
@@ -205,16 +184,6 @@ class Codec:
     def _count_op(self, op: str, n: int = 1) -> None:
         """Mirror one facade operation into the obs registry (no-op cheap)."""
         _obs.get_registry().counter("repro_codec_ops_total", op=op).inc(n)
-
-    def _fan_out_pool(self) -> EncryptionPool | None:
-        """The pool batch work fans out to, starting an owned one lazily."""
-        if self._shared_pool is not None:
-            return self._shared_pool
-        if self._own_pool is None and self.workers > 0:
-            self._own_pool = EncryptionPool(self.workers, key=self.key,
-                                            algorithm=self.algorithm,
-                                            engine=self.engine_name)
-        return self._own_pool
 
     def session_config(self) -> SessionConfig:
         """The link policy this codec implies (for :func:`connect`/:func:`serve`).
@@ -295,23 +264,16 @@ class Codec:
             raise ValueError(
                 f"{len(payloads)} payloads but {len(nonces)} nonces"
             )
-        pool = self._fan_out_pool() if len(payloads) > 1 else None
-        if pool is None:
-            return [self.encrypt(payload, nonce)
-                    for payload, nonce in zip(payloads, nonces)]
-        jobs = [(self.key, payload, nonce, self.algorithm, self.engine_name)
+        jobs = [(payload, self.key, nonce, self.algorithm)
                 for payload, nonce in zip(payloads, nonces)]
-        return pool.run_jobs(encrypt_job, jobs)
+        return self._parallel._run(encrypt_packet, jobs)
 
     def decrypt_packets(self, packets: Sequence[bytes]) -> list[bytes]:
         """Decrypt many packets, order-preserving, pool-accelerated."""
         self._check_open()
         self._count_op("decrypt_packets")
-        pool = self._fan_out_pool() if len(packets) > 1 else None
-        if pool is None:
-            return [self.decrypt(packet) for packet in packets]
-        jobs = [(self.key, packet, self.engine_name) for packet in packets]
-        return pool.run_jobs(decrypt_job, jobs)
+        return self._parallel._run(decrypt_packet,
+                                   [(packet, self.key) for packet in packets])
 
     # -- chunked blobs ----------------------------------------------------
 
@@ -327,34 +289,13 @@ class Codec:
         """
         self._check_open()
         self._count_op("seal_blob")
-        if len(payload) <= self.chunk_size:
-            return self._blobs.encrypt_blob(payload, base_nonce)
-        return self._blob_codec().encrypt_blob(payload, base_nonce)
+        return self._parallel.encrypt_blob(payload, base_nonce)
 
     def open_blob(self, blob: bytes) -> bytes:
         """Decrypt a blob (or a plain single packet) back to its payload."""
         self._check_open()
         self._count_op("open_blob")
-        # Single-packet blobs decrypt inline: spawning worker processes
-        # for one chunk is pure overhead (mirror of seal_blob's
-        # small-payload shortcut).  The header parse is cheap and any
-        # damage fails identically on the inline path below.
-        if (not blob
-                or HEADER_SIZE + PacketHeader.unpack(blob).payload_size
-                >= len(blob)):
-            return self._blobs.decrypt_blob(blob)
-        return self._blob_codec().decrypt_blob(blob)
-
-    def _blob_codec(self) -> ParallelCodec:
-        """The blob codec to use right now: pooled when a pool exists."""
-        pool = self._fan_out_pool()
-        if pool is None:
-            return self._blobs
-        if self._pooled_blobs is None or self._pooled_blobs.pool is not pool:
-            self._pooled_blobs = ParallelCodec(
-                self.key, chunk_size=self.chunk_size,
-                algorithm=self.algorithm, engine=self.engine, pool=pool)
-        return self._pooled_blobs
+        return self._parallel.decrypt_blob(blob)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -365,9 +306,7 @@ class Codec:
         caller who built them owns them.
         """
         self._closed = True
-        if self._own_pool is not None:
-            self._own_pool.close()
-            self._own_pool = None
+        self._parallel.close()
 
     def __enter__(self) -> "Codec":
         return self
@@ -376,10 +315,9 @@ class Codec:
         self.close()
 
     def __repr__(self) -> str:
-        pool = "shared" if self._shared_pool is not None else self.workers
         return (f"<Codec engine={self.engine_name!r} "
                 f"algorithm={self.algorithm} width={self.params.width} "
-                f"workers={pool}>")
+                f"workers={self.workers}>")
 
 
 def open_codec(key, **options) -> Codec:
@@ -633,7 +571,7 @@ def relay_serve(keyring, host: str = "127.0.0.1", port: int = 0, *,
 
     ``metrics_port`` starts the Prometheus/healthz endpoint beside the
     listener; ``poll_interval_s`` paces the deadline sweep (handshake
-    and idle timeouts, metrics idle eviction).
+    and idle timeouts).
     """
     from repro.kex.keyring import TenantKeyring
     from repro.relay.server import RelayServer

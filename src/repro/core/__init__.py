@@ -11,10 +11,11 @@ Public surface:
 * :class:`repro.core.params.VectorParams` — hiding-vector geometry
   (the paper's configuration is :data:`repro.core.params.PAPER_PARAMS`);
 * :mod:`repro.core.stream` — the packet container for link-level use
-  (single and batch entry points, the latter executor-aware);
-* :mod:`repro.core.fastpath` — the word-level fast engine
-  (:class:`repro.core.fastpath.BatchCodec` for batched packet
-  workloads);
+  (:func:`~repro.core.stream.encrypt_packet` /
+  :func:`~repro.core.stream.decrypt_packet`, one packet per call;
+  ordered batches are :meth:`repro.api.Codec.encrypt_packets`);
+* :mod:`repro.core.fastpath` — the word-level fast engine and its
+  cached compiled key schedules;
 * :mod:`repro.core.engines` — the pluggable engine registry that makes
   ``"reference"``, ``"fast"`` and future backends interchangeable
   plugins (resolved once by :class:`repro.api.Codec`, validated eagerly
@@ -40,7 +41,6 @@ from repro.core.errors import (
     ReproKeyError,
     UnknownEngineError,
 )
-from repro.core.fastpath import BatchCodec
 from repro.core.hhea import HheaCipher
 from repro.core.key import Key, KeyPair, scramble_pair
 from repro.core.mhhea import EncryptedMessage, MhheaCipher
@@ -59,7 +59,6 @@ __all__ = [
     "get_engine",
     "register_engine",
     "registered_engines",
-    "BatchCodec",
     "HheaCipher",
     "Key",
     "KeyPair",

@@ -45,11 +45,9 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 
-from repro.core import engines as _engines
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.core.params import VectorParams
-from repro.obs import core as _obs
 from repro.util.bits import bits_to_int, check_uint, mask
 from repro.util.lfsr import LeapLfsr, Lfsr
 
@@ -60,7 +58,6 @@ __all__ = [
     "schedule_for",
     "embed_stream",
     "extract_stream",
-    "BatchCodec",
 ]
 
 #: Algorithm names accepted by :func:`schedule_for`.
@@ -126,9 +123,9 @@ class FastSchedule:
     """A key schedule compiled for word-level embedding/extraction.
 
     Built once per (key, algorithm, params) by :func:`schedule_for` (and
-    cached there), then reused across every packet — this is what makes
-    :class:`BatchCodec` cheap.  Messages travel as packed integers: bit
-    ``m`` of the stream is bit ``m`` of the integer.
+    cached there), then reused across every packet under that key.
+    Messages travel as packed integers: bit ``m`` of the stream is bit
+    ``m`` of the integer.
     """
 
     __slots__ = ("params", "width", "half", "_mode", "_progs", "_masks",
@@ -421,51 +418,3 @@ def extract_stream(vectors: Sequence[int], key: Key, n_bits: int,
                             data_bit_policy)
     return schedule.extract_bits(vectors, n_bits, strict, frame_bits)
 
-
-class BatchCodec:
-    """Encrypt/decrypt many payloads under one compiled key schedule.
-
-    The per-packet cost of the fast path is dominated by the cipher loop
-    itself once the schedule is compiled; this wrapper pins one schedule
-    (and one engine choice) for a whole batch so callers — the secure
-    link, bulk file encryption, benchmarks — don't re-negotiate anything
-    per packet.  Nonce discipline stays the caller's job exactly as for
-    :func:`repro.core.stream.encrypt_packet`; pass distinct nonces.
-    """
-
-    def __init__(self, key: Key, algorithm: int | None = None,
-                 engine: "str | _engines.Engine | None" = None):
-        from repro.core import stream  # deferred: stream imports this module
-
-        self._stream = stream
-        self.key = key
-        self.algorithm = (stream.ALGORITHM_MHHEA if algorithm is None
-                          else algorithm)
-        if self.algorithm not in (stream.ALGORITHM_HHEA, stream.ALGORITHM_MHHEA):
-            raise CipherFormatError(f"unknown algorithm id {algorithm}")
-        #: Resolved engine backend; ``engine`` accepts a registry name,
-        #: an :class:`repro.core.engines.Engine` instance, or ``None``
-        #: for the registry default.
-        self.backend = _engines.get_engine(engine)
-        self.engine = self.backend.name
-        if isinstance(self.backend, _engines.FastEngine):
-            name = MHHEA if self.algorithm == stream.ALGORITHM_MHHEA else HHEA
-            schedule_for(key, name, key.params)  # compile once, up front
-
-    def encrypt_many(self, payloads: Sequence[bytes],
-                     nonces: Sequence[int]) -> list[bytes]:
-        """One packet per payload; ``nonces`` must pair up one-to-one."""
-        packets = self._stream.encrypt_packets(payloads, self.key, nonces,
-                                               algorithm=self.algorithm,
-                                               engine=self.backend)
-        _obs.get_registry().counter("repro_batch_payloads_total",
-                                    op="encrypt").inc(len(packets))
-        return packets
-
-    def decrypt_many(self, packets: Sequence[bytes]) -> list[bytes]:
-        """Decrypt a batch of packets produced under the same key."""
-        payloads = self._stream.decrypt_packets(packets, self.key,
-                                                engine=self.backend)
-        _obs.get_registry().counter("repro_batch_payloads_total",
-                                    op="decrypt").inc(len(payloads))
-        return payloads

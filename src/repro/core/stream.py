@@ -32,9 +32,7 @@ field, so header corruption must be as detectable as payload corruption
 from __future__ import annotations
 
 import struct
-from concurrent.futures import Executor
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from repro.core import engines as _engines
 from repro.core.errors import CipherFormatError
@@ -56,8 +54,6 @@ __all__ = [
     "verify_packet",
     "encrypt_packet",
     "decrypt_packet",
-    "encrypt_packets",
-    "decrypt_packets",
     "split_packets",
 ]
 
@@ -345,80 +341,6 @@ def decrypt_packet(packet: bytes, key: Key,
                            engine=backend.name,
                            op="decrypt").observe(registry.clock() - start)
     return plaintext
-
-
-def _encrypt_one(job: tuple) -> bytes:
-    """Executor-shippable helper for :func:`encrypt_packets`.
-
-    Top level (hence picklable) so batch entry points work with process
-    pools as well as thread pools; the job tuple carries everything.
-    """
-    payload, key, nonce, algorithm, engine = job
-    return encrypt_packet(payload, key, nonce=nonce, algorithm=algorithm,
-                          engine=engine)
-
-
-def _decrypt_one(job: tuple) -> bytes:
-    """Executor-shippable helper for :func:`decrypt_packets`."""
-    packet, key, engine = job
-    return decrypt_packet(packet, key, engine=engine)
-
-
-def encrypt_packets(
-    payloads: Sequence[bytes],
-    key: Key,
-    nonces: Sequence[int],
-    algorithm: int = ALGORITHM_MHHEA,
-    engine: "str | _engines.Engine | None" = None,
-    executor: Executor | None = None,
-) -> list[bytes]:
-    """Encrypt many payloads into packets, optionally on an executor.
-
-    The batch analogue of :func:`encrypt_packet`: payload ``i`` is
-    encrypted under ``nonces[i]`` and results keep input order.  With
-    ``executor=None`` the loop runs inline; any
-    :class:`concurrent.futures.Executor` (thread or process pool) can be
-    passed to fan the packets out — results are byte-identical either
-    way, since each packet is an independent pure function of its
-    inputs.  For long-lived process pools with per-worker schedule
-    caching and crash recovery, prefer
-    :class:`repro.parallel.EncryptionPool` /
-    :class:`repro.parallel.ParallelCodec`, which avoid re-shipping the
-    key with every job.
-
-    Raises :class:`ValueError` when ``payloads`` and ``nonces`` differ
-    in length, plus everything :func:`encrypt_packet` raises (nonce
-    validation happens per packet, inside the jobs).
-    """
-    backend = _engines.get_engine(engine)
-    if len(payloads) != len(nonces):
-        raise ValueError(
-            f"{len(payloads)} payloads but {len(nonces)} nonces"
-        )
-    jobs = [(payload, key, nonce, algorithm, backend)
-            for payload, nonce in zip(payloads, nonces)]
-    if executor is None:
-        return [_encrypt_one(job) for job in jobs]
-    return list(executor.map(_encrypt_one, jobs))
-
-
-def decrypt_packets(
-    packets: Sequence[bytes],
-    key: Key,
-    engine: "str | _engines.Engine | None" = None,
-    executor: Executor | None = None,
-) -> list[bytes]:
-    """Decrypt many packets, optionally on an executor; order-preserving.
-
-    The batch analogue of :func:`decrypt_packet`, with the same executor
-    semantics as :func:`encrypt_packets`.  Any structural or CRC failure
-    in any packet propagates as :class:`CipherFormatError`.
-    """
-    backend = _engines.get_engine(engine)
-    jobs = [(packet, key, backend) for packet in packets]
-    if executor is None:
-        return [_decrypt_one(job) for job in jobs]
-    return list(executor.map(_decrypt_one, jobs))
 
 
 def split_packets(stream: bytes) -> list[bytes]:

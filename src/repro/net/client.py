@@ -124,8 +124,7 @@ class SecureLinkClient:
         if self.session is not None:
             raise SessionError("client already connected")
         if self._config.parallel_workers > 0 and self._pool is None:
-            self._pool = EncryptionPool(self._config.parallel_workers,
-                                        engine=self._config.engine)
+            self._pool = EncryptionPool(self._config.parallel_workers)
         self._reader, self._writer = await asyncio.open_connection(
             self._host, self._port
         )

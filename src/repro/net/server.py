@@ -117,8 +117,7 @@ class SecureLinkServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         if self._config.parallel_workers > 0 and self._pool is None:
-            self._pool = EncryptionPool(self._config.parallel_workers,
-                                        engine=self._config.engine)
+            self._pool = EncryptionPool(self._config.parallel_workers)
         self._server = await asyncio.start_server(
             self._serve_connection, self._host, self._requested_port
         )

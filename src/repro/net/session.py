@@ -50,11 +50,12 @@ from repro.net.framing import MAX_PAYLOAD_DEFAULT
 from repro.net.metrics import SessionMetrics
 from repro.util.lfsr import max_period
 
-# repro.parallel.pool (EncryptionPool, encrypt_job, decrypt_job) is
-# imported lazily inside the batch/async methods: pulling in the
-# process-pool machinery drags multiprocessing (and thus the socket
-# module) into every importer, which would break the sans-IO guarantee
-# of repro.link — this module is part of its import closure.
+# repro.parallel.pool is imported for annotations only: the async
+# methods submit encrypt_packet/decrypt_packet to whatever pool the
+# caller passes, and importing the process-pool machinery here would
+# drag multiprocessing (and thus the socket module) into every importer,
+# breaking the sans-IO guarantee of repro.link — this module is part of
+# its import closure.
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -269,68 +270,6 @@ class _SendHalf:
         self._account(payload, packet)
         return packet
 
-    def _plan(self, payloads) -> list[tuple[bytes, Key, int, int]]:
-        """Precompute ``(payload, epoch key, nonce, epoch)`` for a batch.
-
-        Pure with respect to session state: nothing is committed, so a
-        validation failure anywhere in the batch leaves the sequence
-        counter and ratchet untouched (all-or-nothing).
-        """
-        for payload in payloads:
-            self._check_payload(payload)
-        width = self._root.params.width
-        interval = self._config.rekey_interval
-        epoch_keys = {self._epoch: self._key}
-        plan = []
-        for offset, payload in enumerate(payloads):
-            seq = self._next_seq + offset
-            epoch = seq // interval
-            key = epoch_keys.get(epoch)
-            if key is None:
-                key = epoch_keys[epoch] = derive_epoch_key(
-                    self._root, self._session_id, self._label, epoch)
-            plan.append((payload, key, nonce_for_seq(seq, width), epoch))
-        return plan
-
-    def encrypt_batch(self, payloads,
-                      pool: EncryptionPool | None = None) -> list[bytes]:
-        """Encrypt a batch, offloading large payloads to ``pool``.
-
-        Wire output (packets, nonces, rekey points) is byte-identical to
-        calling :meth:`encrypt` once per payload; only the execution
-        strategy differs.  Payloads of at least
-        ``config.parallel_threshold`` bytes fan out across the pool,
-        smaller ones run inline.
-        """
-        plan = self._plan(payloads)
-        config = self._config
-        packets: list[bytes | None] = [None] * len(plan)
-        jobs: list[tuple] = []
-        job_slots: list[int] = []
-        for i, (payload, key, nonce, _) in enumerate(plan):
-            if pool is not None and len(payload) >= config.parallel_threshold:
-                jobs.append((key, payload, nonce, config.algorithm,
-                             config.engine))
-                job_slots.append(i)
-            else:
-                packets[i] = encrypt_packet(payload, key, nonce=nonce,
-                                            algorithm=config.algorithm,
-                                            engine=self._backend)
-        if jobs:
-            from repro.parallel.pool import encrypt_job
-
-            for slot, packet in zip(job_slots, pool.run_jobs(encrypt_job,
-                                                             jobs)):
-                packets[slot] = packet
-        for (payload, key, _, epoch), packet in zip(plan, packets):
-            if epoch != self._epoch:
-                self._key = key
-                self._epoch = epoch
-                self._metrics.record_rekey("tx")
-            self._next_seq += 1
-            self._account(payload, packet)
-        return packets
-
     async def encrypt_async(self, payload: bytes,
                             pool: EncryptionPool | None) -> bytes:
         """Encrypt one payload, awaiting the pool for large ones.
@@ -351,10 +290,8 @@ class _SendHalf:
         nonce = nonce_for_seq(seq, self._root.params.width)
         self._next_seq = seq + 1
         if pool is not None and len(payload) >= config.parallel_threshold:
-            from repro.parallel.pool import encrypt_job
-
             packet = await pool.run_async(
-                encrypt_job, key, payload, nonce, config.algorithm,
+                encrypt_packet, payload, key, nonce, config.algorithm,
                 config.engine)
         else:
             packet = encrypt_packet(payload, key, nonce=nonce,
@@ -512,10 +449,8 @@ class _RecvHalf:
                    and header.n_bits // 8 >= self._config.parallel_threshold)
         try:
             if offload:
-                from repro.parallel.pool import decrypt_job
-
                 payload = await pool.run_async(
-                    decrypt_job, key, packet, self._config.engine)
+                    decrypt_packet, packet, key, self._config.engine)
             else:
                 payload = decrypt_packet(packet, key, engine=self._backend)
         except Exception:
@@ -614,20 +549,6 @@ class Session:
         ``config.max_payload`` or the nonce space is exhausted.
         """
         return self._send.encrypt(payload)
-
-    def encrypt_batch(self, payloads,
-                      pool: EncryptionPool | None = None) -> list[bytes]:
-        """Encrypt many payloads at once, optionally across a pool.
-
-        Byte-identical to calling :meth:`encrypt` in a loop — sequence
-        numbers, nonces and epoch ratchets are planned up front, then
-        payloads of at least ``config.parallel_threshold`` bytes fan out
-        over ``pool`` (an :class:`~repro.parallel.pool.EncryptionPool`)
-        while smaller ones run inline.  Validation is all-or-nothing: an
-        oversized payload or nonce exhaustion raises
-        :class:`SessionError` before any session state changes.
-        """
-        return self._send.encrypt_batch(payloads, pool)
 
     async def encrypt_async(self, payload: bytes,
                             pool: EncryptionPool | None = None) -> bytes:

@@ -29,12 +29,18 @@ the differential suite in ``tests/parallel/test_pipeline.py``.
 from __future__ import annotations
 
 from repro.core import engines as _engines
-from repro.core.errors import CipherFormatError
-from repro.core.fastpath import BatchCodec
+from repro.core.errors import CipherFormatError, UnknownEngineError
 from repro.core.key import Key
-from repro.core.stream import NONCE_MAX, split_packets
+from repro.core.stream import (
+    ALGORITHM_HHEA,
+    ALGORITHM_MHHEA,
+    NONCE_MAX,
+    decrypt_packet,
+    encrypt_packet,
+    split_packets,
+)
 from repro.obs import core as _obs
-from repro.parallel.pool import EncryptionPool, decrypt_job, encrypt_job
+from repro.parallel.pool import EncryptionPool
 from repro.util.bits import mask
 
 __all__ = [
@@ -112,14 +118,16 @@ def chunk_payload(payload: bytes, chunk_size: int) -> list[bytes]:
 class ParallelCodec:
     """Encrypt/decrypt large payloads as sharded multi-packet blobs.
 
-    The single-payload analogue of :class:`~repro.core.fastpath.BatchCodec`:
-    one key, one compiled schedule, many chunks.  With ``workers=0``
-    everything runs inline in the calling process; with ``workers=N`` an
-    :class:`~repro.parallel.pool.EncryptionPool` (schedule warmup
-    included) is started lazily on the first multi-chunk blob and chunks
-    fan out across it — sub-chunk payloads never pay the process-spawn
-    cost.  Either way the wire bytes are identical — worker count is a
-    purely local throughput knob, exactly like the ``engine`` selector.
+    One key, one algorithm, one engine, many chunks — and the one place
+    that decides whether cipher work runs inline or on a pool.  With
+    ``workers=0`` everything runs inline in the calling process; with
+    ``workers=N`` an :class:`~repro.parallel.pool.EncryptionPool` is
+    started lazily on the first multi-chunk blob (or, through
+    :meth:`repro.api.Codec.encrypt_packets`, multi-packet batch) and the
+    work fans out across it — sub-chunk payloads never pay the
+    process-spawn cost.  Either way the wire bytes are identical —
+    worker count is a purely local throughput knob, exactly like the
+    ``engine`` selector.
 
     Usage::
 
@@ -136,29 +144,43 @@ class ParallelCodec:
                  algorithm: int | None = None,
                  engine: "str | _engines.Engine | None" = None,
                  pool: EncryptionPool | None = None):
-        """Compile the schedule; remember ``workers`` for lazy pool start.
+        """Validate the policy; remember ``workers`` for lazy pool start.
 
         ``algorithm`` is a packet-format algorithm id
         (:data:`~repro.core.stream.ALGORITHM_MHHEA` by default) and
         ``engine`` the cipher implementation — a registered name, an
         :class:`~repro.core.engines.Engine` instance, or ``None`` for
         the registry default.  Raises :class:`ValueError` for a
-        non-positive ``chunk_size``, a negative ``workers`` count, or
-        (as :class:`~repro.core.errors.UnknownEngineError`) an
-        unregistered engine name.
+        non-positive ``chunk_size`` or a negative ``workers`` count,
+        :class:`~repro.core.errors.CipherFormatError` for an unknown
+        algorithm id, and
+        :class:`~repro.core.errors.UnknownEngineError` for an
+        unregistered engine name — or, when ``workers > 0`` or ``pool=``
+        is given, for an engine instance whose name is unregistered,
+        since pool workers re-resolve the engine by name.
         """
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        if algorithm is None:
+            algorithm = ALGORITHM_MHHEA
+        if algorithm not in (ALGORITHM_HHEA, ALGORITHM_MHHEA):
+            raise CipherFormatError(f"unknown algorithm id {algorithm}")
         backend = _engines.get_engine(engine)
+        if ((workers > 0 or pool is not None)
+                and backend.name not in _engines.registered_engines()):
+            raise UnknownEngineError(
+                f"engine {backend.name!r} is not registered; pooled "
+                f"codecs re-resolve the engine by name inside worker "
+                f"processes, so register_engine({backend.name!r}, ...) "
+                f"first (or stay inline with workers=0)"
+            )
         self.key = key
         self.chunk_size = chunk_size
+        self.algorithm = algorithm
         self.engine = backend.name
-        # BatchCodec validates the algorithm id and pre-compiles the
-        # schedule for the inline/single-chunk path.
-        self._codec = BatchCodec(key, algorithm, engine=backend)
-        self.algorithm = self._codec.algorithm
+        self._backend = backend
         self._workers = workers
         self._own_pool = False
         self._pool: EncryptionPool | None = pool
@@ -173,14 +195,22 @@ class ParallelCodec:
         """
         return self._pool
 
-    def _fan_out_pool(self) -> EncryptionPool | None:
-        """The pool to use for a multi-chunk blob, started on demand."""
-        if self._pool is None and self._workers > 0:
-            self._pool = EncryptionPool(self._workers, key=self.key,
-                                        algorithm=self.algorithm,
-                                        engine=self.engine)
+    def _run(self, fn, jobs: list[tuple]) -> list:
+        """``fn(*job, engine)`` for every job, results in job order.
+
+        A single job, or any job list on a codec with neither a pool nor
+        ``workers``, runs inline on the resolved engine object (so an
+        unregistered engine instance stays legal inline).  Otherwise the
+        jobs fan out across the pool — the shared one, or an owned one
+        started here on first use — carrying the engine's registry name,
+        which each worker re-resolves.
+        """
+        if len(jobs) < 2 or (self._pool is None and not self._workers):
+            return [fn(*job, self._backend) for job in jobs]
+        if self._pool is None:
+            self._pool = EncryptionPool(self._workers)
             self._own_pool = True
-        return self._pool
+        return self._pool.run_jobs(fn, [(*job, self.engine) for job in jobs])
 
     def encrypt_blob(self, payload: bytes,
                      base_nonce: int = DEFAULT_BASE_NONCE) -> bytes:
@@ -194,13 +224,9 @@ class ParallelCodec:
         chunks = chunk_payload(payload, self.chunk_size)
         nonces = chunk_nonces(base_nonce, len(chunks),
                               self.key.params.width)
-        pool = self._fan_out_pool() if len(chunks) > 1 else None
-        if pool is None:
-            packets = self._codec.encrypt_many(chunks, nonces)
-        else:
-            jobs = [(self.key, chunk, nonce, self.algorithm, self.engine)
-                    for chunk, nonce in zip(chunks, nonces)]
-            packets = pool.run_jobs(encrypt_job, jobs)
+        packets = self._run(encrypt_packet,
+                            [(chunk, self.key, nonce, self.algorithm)
+                             for chunk, nonce in zip(chunks, nonces)])
         _obs.get_registry().counter("repro_blob_chunks_total",
                                     op="encrypt").inc(len(chunks))
         return b"".join(packets)
@@ -217,12 +243,8 @@ class ParallelCodec:
         packets = split_packets(blob)
         if not packets:
             raise CipherFormatError("empty blob: no packets to decrypt")
-        pool = self._fan_out_pool() if len(packets) > 1 else None
-        if pool is None:
-            chunks = self._codec.decrypt_many(packets)
-        else:
-            jobs = [(self.key, packet, self.engine) for packet in packets]
-            chunks = pool.run_jobs(decrypt_job, jobs)
+        chunks = self._run(decrypt_packet,
+                           [(packet, self.key) for packet in packets])
         _obs.get_registry().counter("repro_blob_chunks_total",
                                     op="decrypt").inc(len(packets))
         return b"".join(chunks)

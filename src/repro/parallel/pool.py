@@ -6,17 +6,8 @@ links — needs all of them.  This module owns the *worker* side of that
 scale-out:
 
 * **Long-lived workers** — one :class:`concurrent.futures.ProcessPoolExecutor`
-  whose processes survive across batches, so schedule compilation and
-  interpreter start-up are paid once per worker, not once per chunk.
-* **Fork-safe schedule warmup** — the pool initializer compiles the
-  :class:`~repro.core.fastpath.BatchCodec` for the pipeline key before
-  the first chunk arrives.  Warmup runs in the *child* after the worker
-  process starts, so it is correct under every multiprocessing start
-  method (``fork``, ``spawn``, ``forkserver``); nothing relies on
-  schedules compiled in the parent surviving a fork.
-* **Per-worker codec cache** — session traffic ratchets keys per epoch,
-  so workers keep a small bounded cache of compiled codecs keyed by
-  ``(key, algorithm, engine)`` instead of assuming one key per pool.
+  whose processes survive across batches, so interpreter start-up is
+  paid once per worker, not once per chunk.
 * **Worker-death recovery** — a killed worker poisons a
   ``ProcessPoolExecutor`` (every in-flight future raises
   :class:`~concurrent.futures.process.BrokenProcessPool`).
@@ -24,11 +15,15 @@ scale-out:
   the failed jobs; if the rebuilt pool dies too, the remaining jobs run
   inline so a batch always completes with correct output.
 
-Job functions (:func:`encrypt_job`, :func:`decrypt_job`) are plain
-module-level functions of picklable arguments, which is what makes them
-submittable under any start method.  They are pure: byte-identical
-results regardless of which worker (or the parent, on fallback) runs
-them — the property the differential suite in ``tests/parallel`` pins.
+Jobs are plain calls of top-level (hence picklable) functions — in the
+library, :func:`repro.core.stream.encrypt_packet` and
+:func:`repro.core.stream.decrypt_packet` with the engine named by its
+registry name — so they can be submitted under any start method.  They
+are pure: byte-identical results regardless of which worker (or the
+parent, on fallback) runs them, the property the differential suite in
+``tests/parallel`` pins.  Workers hold no per-key state: each job's key
+arrives pickled with it, and compiling its schedule costs far less than
+the cipher work of one packet.
 """
 
 from __future__ import annotations
@@ -38,112 +33,42 @@ from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
-from repro.core import engines as _engines
-from repro.core.fastpath import BatchCodec
-from repro.core.key import Key
 from repro.obs import core as _obs
 from repro.obs.logs import log_event
 
 __all__ = [
     "EncryptionPool",
-    "encrypt_job",
-    "decrypt_job",
-    "warm_worker",
 ]
-
-#: Compiled codecs a single worker process keeps alive at once.  Epoch
-#: ratchets retire keys, so an unbounded cache would pin dead key
-#: material; eight covers both directions of a few concurrent sessions.
-MAX_CACHED_CODECS = 8
 
 #: Pool rebuilds attempted per batch before falling back to inline
 #: execution in the parent process.
 MAX_POOL_RESTARTS = 1
 
-# Per-process codec cache.  Lives in the *worker* interpreter; the
-# parent's copy is only used by the inline fallback path.
-_CODECS: dict[tuple[Key, int | None, str], BatchCodec] = {}
-
-
-def _codec_for(key: Key, algorithm: int | None, engine: str) -> BatchCodec:
-    """The cached compiled codec for one (key, algorithm, engine) triple.
-
-    ``algorithm=None`` is normalised to the :class:`BatchCodec` default
-    before keying, so warmup, encrypt jobs and decrypt jobs (which pass
-    ``None`` — the packet header names the algorithm) all share one
-    cache entry per key.
-    """
-    if algorithm is None:
-        from repro.core.stream import ALGORITHM_MHHEA
-
-        algorithm = ALGORITHM_MHHEA
-    entry = _CODECS.get((key, algorithm, engine))
-    if entry is None:
-        while len(_CODECS) >= MAX_CACHED_CODECS:
-            _CODECS.pop(next(iter(_CODECS)))
-        entry = _CODECS[(key, algorithm, engine)] = BatchCodec(
-            key, algorithm, engine=engine
-        )
-    return entry
-
-
-def warm_worker(key: Key | None, algorithm: int | None, engine: str) -> None:
-    """Pool initializer: compile the pipeline schedule before any job.
-
-    Runs once inside each fresh worker process.  ``key=None`` skips the
-    warmup (the net layer's pools serve per-epoch derived keys that are
-    not known at pool construction; their workers compile on first use).
-    """
-    if key is not None:
-        _codec_for(key, algorithm, engine)
-
-
-def encrypt_job(key: Key, payload: bytes, nonce: int,
-                algorithm: int | None, engine: str) -> bytes:
-    """Encrypt one chunk into one packet (pure; runs in a worker)."""
-    return _codec_for(key, algorithm, engine).encrypt_many(
-        [payload], [nonce])[0]
-
-
-def decrypt_job(key: Key, packet: bytes, engine: str) -> bytes:
-    """Decrypt one packet back to its chunk (pure; runs in a worker)."""
-    return _codec_for(key, None, engine).decrypt_many([packet])[0]
-
 
 class EncryptionPool:
     """A resilient process pool dedicated to cipher work.
 
-    Wraps :class:`~concurrent.futures.ProcessPoolExecutor` with the three
+    Wraps :class:`~concurrent.futures.ProcessPoolExecutor` with the two
     things the encryption pipeline needs and the stdlib pool does not
-    give: schedule warmup at worker start, ordered fan-out with
-    worker-death recovery (:meth:`run_jobs`), and an asyncio-friendly
-    single-job path (:meth:`run_async`) for the secure link.
+    give: ordered fan-out with worker-death recovery (:meth:`run_jobs`),
+    and an asyncio-friendly single-job path (:meth:`run_async`) for the
+    secure link.
 
     One pool may be shared by any number of codecs and sessions; jobs
     carry their own key material.  Close it with :meth:`close` or use it
     as a context manager.
     """
 
-    def __init__(self, workers: int, *, key: Key | None = None,
-                 algorithm: int | None = None,
-                 engine: "str | _engines.Engine | None" = None,
-                 mp_context=None):
-        """Start ``workers`` processes, warmed for ``key`` if given.
+    def __init__(self, workers: int, *, mp_context=None):
+        """Start a pool of ``workers`` processes.
 
-        ``engine`` selects the cipher implementation the *warmup*
-        compiles (``None`` for the registry default; jobs still name
-        their own engine); ``mp_context`` is a
-        :mod:`multiprocessing` context for tests that need a specific
-        start method.  Raises :class:`ValueError` for ``workers < 1``.
+        ``mp_context`` is a :mod:`multiprocessing` context for tests
+        that need a specific start method.  Raises :class:`ValueError`
+        for ``workers < 1``.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._workers = workers
-        self._key = key
-        self._algorithm = algorithm
-        # Normalised to the registry *name*: initargs must pickle, and
-        # the name re-resolves identically inside every worker.
-        self._engine = _engines.engine_name(engine)
         self._mp_context = mp_context
         self._lock = threading.Lock()
         self._restarts = 0
@@ -151,12 +76,8 @@ class EncryptionPool:
         self._start_executor()
 
     def _start_executor(self) -> None:
-        self._executor = ProcessPoolExecutor(
-            max_workers=self._workers,
-            mp_context=self._mp_context,
-            initializer=warm_worker,
-            initargs=(self._key, self._algorithm, self._engine),
-        )
+        self._executor = ProcessPoolExecutor(max_workers=self._workers,
+                                             mp_context=self._mp_context)
 
     @property
     def workers(self) -> int:
@@ -180,7 +101,7 @@ class EncryptionPool:
         return self.executor.submit(fn, *args)
 
     def restart(self, broken: ProcessPoolExecutor | None = None) -> None:
-        """Replace a (possibly broken) executor with a fresh warm pool.
+        """Replace a (possibly broken) executor with a fresh pool.
 
         ``broken`` is the executor the caller observed failing: if
         another caller already replaced it (concurrent recoveries racing

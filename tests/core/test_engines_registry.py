@@ -42,7 +42,6 @@ class TestResolution:
         # names none runs DEFAULT_ENGINE_NAME.
         from repro.api import Codec
         from repro.cli import build_parser
-        from repro.core.fastpath import BatchCodec
         from repro.net.session import SessionConfig
         from repro.parallel import ParallelCodec
         from repro.relay import RelayConfig
@@ -56,7 +55,6 @@ class TestResolution:
             "Codec": Codec(key16).engine_name,
             "SessionConfig": SessionConfig().engine,
             "RelayConfig": RelayConfig().engine,
-            "BatchCodec": BatchCodec(key16).engine,
             "ParallelCodec": ParallelCodec(key16).engine,
             **{f"cli {argv[0]}": parser.parse_args(argv).engine
                for argv in argvs},

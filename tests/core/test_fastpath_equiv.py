@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.api import Codec
 from repro.core import fastpath, hhea, mhhea
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
@@ -188,27 +189,18 @@ class TestPacketDifferential:
             assert decrypt_packet(p_fast, key,
                                   engine="reference") == payload
 
-    def test_batch_codec_matches_loose_packets(self):
+    def test_codec_batch_matches_loose_packets(self):
         key = Key.generate(seed=2005, n_pairs=16)
         rng = random.Random(f"{SEED}:batch")
         payloads = [rng.randbytes(rng.randint(0, 64)) for _ in range(24)]
         nonces = list(range(1, len(payloads) + 1))
-        codec = fastpath.BatchCodec(key, engine="fast")
-        packets = codec.encrypt_many(payloads, nonces)
-        assert packets == [
-            encrypt_packet(p, key, nonce=n, engine="reference")
-            for p, n in zip(payloads, nonces)
-        ]
-        assert codec.decrypt_many(packets) == payloads
-
-    def test_batch_codec_validates(self):
-        key = Key.generate(seed=2005)
-        with pytest.raises(ValueError, match="nonces"):
-            fastpath.BatchCodec(key).encrypt_many([b"x"], [])
-        with pytest.raises(ValueError, match="engine"):
-            fastpath.BatchCodec(key, engine="turbo")
-        with pytest.raises(CipherFormatError, match="algorithm"):
-            fastpath.BatchCodec(key, algorithm=7)
+        with Codec(key, engine="fast") as codec:
+            packets = codec.encrypt_packets(payloads, nonces)
+            assert packets == [
+                encrypt_packet(p, key, nonce=n, engine="reference")
+                for p, n in zip(payloads, nonces)
+            ]
+            assert codec.decrypt_packets(packets) == payloads
 
 
 class TestScheduleCache:

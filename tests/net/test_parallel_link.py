@@ -41,52 +41,22 @@ class TestSessionConfigValidation:
         SessionConfig().validate(16)
 
 
-class TestEncryptBatch:
-    def test_pool_batch_matches_serial_encrypts(self, key16):
-        config = SessionConfig(parallel_threshold=64)
-        parallel = Session(key16, "initiator", SESSION_ID, config=config)
-        serial = Session(key16, "initiator", SESSION_ID,
-                         config=SessionConfig())
-        payloads = [bytes([i]) * (32 + 48 * i) for i in range(8)]
-        with EncryptionPool(2) as pool:
-            batch = parallel.encrypt_batch(payloads, pool=pool)
-        assert batch == [serial.encrypt(p) for p in payloads]
-        assert parallel.next_send_seq == serial.next_send_seq
-        assert (parallel.metrics.tx.payload_bytes
-                == serial.metrics.tx.payload_bytes)
-
-    def test_batch_crosses_rekey_epochs_identically(self, key16):
+class TestAsyncEpochs:
+    def test_offloaded_encrypts_cross_rekey_epochs_identically(self, key16):
         config = SessionConfig(rekey_interval=3, parallel_threshold=1)
-        parallel = Session(key16, "initiator", SESSION_ID, config=config)
         serial = Session(key16, "initiator", SESSION_ID, config=config)
         payloads = [bytes([i]) * 24 for i in range(8)]
-        with EncryptionPool(1) as pool:
-            batch = parallel.encrypt_batch(payloads, pool=pool)
-        assert batch == [serial.encrypt(p) for p in payloads]
-        assert parallel.metrics.tx.rekeys == serial.metrics.tx.rekeys == 2
 
-    def test_batch_without_pool_runs_inline(self, key16):
-        session = Session(key16, "initiator", SESSION_ID)
-        serial = Session(key16, "initiator", SESSION_ID)
-        payloads = [b"one", b"two", b"three"]
-        assert session.encrypt_batch(payloads) == [serial.encrypt(p)
-                                                   for p in payloads]
+        async def scenario() -> tuple[list[bytes], int]:
+            session = Session(key16, "initiator", SESSION_ID, config=config)
+            with EncryptionPool(1) as pool:
+                packets = [await session.encrypt_async(p, pool)
+                           for p in payloads]
+            return packets, session.metrics.tx.rekeys
 
-    def test_oversized_payload_rejected_before_state_change(self, key16):
-        config = SessionConfig(max_payload=16)
-        session = Session(key16, "initiator", SESSION_ID, config=config)
-        with pytest.raises(SessionError):
-            session.encrypt_batch([b"ok", b"x" * 17])
-        assert session.next_send_seq == 0  # all-or-nothing
-
-    def test_receiver_decrypts_batch_output(self, key16):
-        config = SessionConfig(parallel_threshold=8)
-        sender = Session(key16, "initiator", SESSION_ID, config=config)
-        receiver = Session(key16, "responder", SESSION_ID, config=config)
-        payloads = [bytes([i]) * 64 for i in range(5)]
-        with EncryptionPool(2) as pool:
-            packets = sender.encrypt_batch(payloads, pool=pool)
-        assert [receiver.decrypt(p) for p in packets] == payloads
+        packets, rekeys = run(scenario())
+        assert packets == [serial.encrypt(p) for p in payloads]
+        assert rekeys == serial.metrics.tx.rekeys == 2
 
 
 class TestAsyncSessionOffload:

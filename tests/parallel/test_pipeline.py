@@ -190,10 +190,32 @@ class TestCodecValidation:
         with pytest.raises(CipherFormatError):
             ParallelCodec(key16, algorithm=9)
 
+    def test_unregistered_engine_instance_inline_ok_pooled_rejected(self,
+                                                                    key16):
+        from repro.core.engines import FastEngine
+        from repro.core.errors import UnknownEngineError
+        from repro.parallel import EncryptionPool
+
+        class Unregistered(FastEngine):
+            name = "unregistered"
+
+        backend = Unregistered()
+        inline = ParallelCodec(key16, chunk_size=16, engine=backend)
+        payload = _payload(64)
+        assert inline.decrypt_blob(inline.encrypt_blob(payload)) == payload
+        # Pool workers re-resolve the engine by name: refuse up front,
+        # not inside the first fanned-out job.
+        with pytest.raises(UnknownEngineError, match="register_engine"):
+            ParallelCodec(key16, workers=1, chunk_size=16, engine=backend)
+        with EncryptionPool(1) as pool:
+            with pytest.raises(UnknownEngineError, match="register_engine"):
+                ParallelCodec(key16, chunk_size=16, engine=backend,
+                              pool=pool)
+
     def test_shared_pool_is_not_closed(self, key16):
         from repro.parallel import EncryptionPool
 
-        with EncryptionPool(1, key=key16) as pool:
+        with EncryptionPool(1) as pool:
             codec = ParallelCodec(key16, chunk_size=CHUNK, pool=pool)
             codec.close()  # must not close the borrowed pool
             blob = ParallelCodec(key16, chunk_size=CHUNK,

@@ -11,11 +11,14 @@ inline path.
 
 from __future__ import annotations
 
+import asyncio
 import os
 
 import pytest
 
-from repro.parallel import EncryptionPool, ParallelCodec, encrypt_job
+from repro.core.errors import CipherFormatError
+from repro.core.stream import ALGORITHM_MHHEA, decrypt_packet, encrypt_packet
+from repro.parallel import EncryptionPool, ParallelCodec
 
 pytestmark = pytest.mark.filterwarnings(
     # The killed worker can leave its SimpleQueue helper thread behind.
@@ -56,14 +59,13 @@ class TestPoolRecovery:
 
     def test_broken_pool_detected_at_submit_time(self, key16, tmp_path):
         payload = bytes(64)
-        with EncryptionPool(1, key=key16) as pool:
+        with EncryptionPool(1) as pool:
             _kill_pool(pool)
             # The executor is already poisoned before this batch starts.
-            jobs = [(key16, payload, nonce, None, "fast")
+            jobs = [(payload, key16, nonce, ALGORITHM_MHHEA, "fast")
                     for nonce in (0x1111, 0x2222)]
-            packets = pool.run_jobs(encrypt_job, jobs)
+            packets = pool.run_jobs(encrypt_packet, jobs)
             assert pool.restarts == 1
-            from repro.core.stream import encrypt_packet
             assert packets == [
                 encrypt_packet(payload, key16, nonce=0x1111, engine="fast"),
                 encrypt_packet(payload, key16, nonce=0x2222, engine="fast"),
@@ -111,19 +113,27 @@ class TestCodecRecovery:
 
 class TestAsyncRecovery:
     def test_run_async_rebuilds_broken_pool(self, key16):
-        import asyncio
-
-        from repro.core.stream import encrypt_packet
-
         async def scenario() -> bytes:
-            with EncryptionPool(1, key=key16) as pool:
+            with EncryptionPool(1) as pool:
                 _kill_pool(pool)
                 packet = await pool.run_async(
-                    encrypt_job, key16, b"async payload", 0x1234, None,
-                    "fast")
+                    encrypt_packet, b"async payload", key16, 0x1234,
+                    ALGORITHM_MHHEA, "fast")
                 assert pool.restarts >= 1
                 return packet
 
         packet = asyncio.run(scenario())
         assert packet == encrypt_packet(b"async payload", key16,
                                         nonce=0x1234, engine="fast")
+
+    def test_run_async_job_error_is_not_a_crash(self, key16):
+        damaged = encrypt_packet(b"async payload", key16, nonce=0x1234)[:-1]
+
+        async def scenario() -> int:
+            with EncryptionPool(1) as pool:
+                with pytest.raises(CipherFormatError):
+                    await pool.run_async(decrypt_packet, damaged, key16,
+                                         "fast")
+                return pool.restarts
+
+        assert asyncio.run(scenario()) == 0

@@ -16,9 +16,9 @@ from repro.core.stream import (
     ALGORITHM_HHEA,
     decrypt_packet,
     encrypt_packet,
-    encrypt_packets,
 )
 from repro.net.session import Session, SessionConfig
+from repro.obs import core as obs
 from repro.parallel import EncryptionPool, ParallelCodec
 
 PAYLOAD = bytes(i % 251 for i in range(50_000))
@@ -42,8 +42,9 @@ class TestConstruction:
     def test_algorithm_spellings(self, key16):
         assert Codec(key16, algorithm="hhea").algorithm == ALGORITHM_HHEA
         assert Codec(key16, algorithm=ALGORITHM_HHEA).algorithm == ALGORITHM_HHEA
-        with pytest.raises(CipherFormatError, match="algorithm"):
-            Codec(key16, algorithm="rot13")
+        for bad in ("rot13", 7):
+            with pytest.raises(CipherFormatError, match="algorithm"):
+                Codec(key16, algorithm=bad)
 
     def test_bad_workers_and_chunk_size(self, key16):
         with pytest.raises(ValueError):
@@ -75,13 +76,15 @@ class TestByteIdentityWithLegacyPaths:
             assert decrypt_packet(packet, key16,
                                   engine=engine) == PAYLOAD[:2000]
 
-    def test_packet_batch(self, key16, engine):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_packet_batch(self, key16, engine, workers):
         payloads = [PAYLOAD[:700], b"", PAYLOAD[700:1500]]
         nonces = [0x11, 0x22, 0x33]
-        with open_codec(key16, engine=engine) as codec:
+        with open_codec(key16, engine=engine, workers=workers) as codec:
             packets = codec.encrypt_packets(payloads, nonces)
-            assert packets == encrypt_packets(payloads, key16, nonces,
+            assert packets == [encrypt_packet(p, key16, nonce=n,
                                               engine=engine)
+                               for p, n in zip(payloads, nonces)]
             assert codec.decrypt_packets(packets) == payloads
 
     def test_blob_inline(self, key16, engine):
@@ -116,11 +119,43 @@ class TestByteIdentityWithLegacyPaths:
                 small, nonce=0x77)
 
 
-class TestBatchValidation:
-    def test_nonce_count_mismatch(self, key16):
-        with open_codec(key16) as codec:
+@pytest.mark.parametrize("workers", [0, 1])
+class TestPacketBatches:
+    """Batch errors and accounting are the same inline and pooled."""
+
+    def test_nonce_count_mismatch(self, key16, workers):
+        with open_codec(key16, workers=workers) as codec:
             with pytest.raises(ValueError, match="nonces"):
                 codec.encrypt_packets([b"x"], [])
+
+    def test_invalid_nonce_raises(self, key16, workers):
+        with open_codec(key16, workers=workers) as codec:
+            with pytest.raises(CipherFormatError, match="nonce"):
+                codec.encrypt_packets([b"x", b"y"], [1, 0])
+            # A job error is the caller's bug, not a dead worker.
+            assert workers == 0 or codec.pool.restarts == 0
+
+    def test_damaged_packet_raises(self, key16, workers):
+        with open_codec(key16, workers=workers) as codec:
+            packets = codec.encrypt_packets([b"x", b"y"], [1, 2])
+            packets[1] = packets[1][:-1]
+            with pytest.raises(CipherFormatError):
+                codec.decrypt_packets(packets)
+            assert workers == 0 or codec.pool.restarts == 0
+
+    def test_counts_one_op_per_batch_call(self, key16, workers):
+        previous = obs.set_registry(obs.ObsRegistry())
+        try:
+            with open_codec(key16, workers=workers) as codec:
+                packets = codec.encrypt_packets([b"a", b"b"], [1, 2])
+                codec.decrypt_packets(packets)
+            ops = {name: value for name, value
+                   in obs.get_registry().snapshot()["counters"].items()
+                   if name.startswith("repro_codec_ops_total")}
+        finally:
+            obs.set_registry(previous if previous.enabled else None)
+        assert ops == {"repro_codec_ops_total{op=encrypt_packets}": 1,
+                       "repro_codec_ops_total{op=decrypt_packets}": 1}
 
 
 class TestPoolOwnership:
@@ -136,7 +171,7 @@ class TestPoolOwnership:
             pool.executor  # the owned pool really was shut down
 
     def test_shared_pool_never_closed(self, key16):
-        with EncryptionPool(1, key=key16) as pool:
+        with EncryptionPool(1) as pool:
             with Codec(key16, pool=pool) as codec:
                 blob = codec.seal_blob(PAYLOAD[:10_000])
                 assert codec.open_blob(blob) == PAYLOAD[:10_000]

@@ -20,12 +20,7 @@ import pytest
 
 from repro.api import Codec, connect, open_codec, serve
 from repro.core.engines import DEFAULT_ENGINE_NAME, get_engine
-from repro.core.stream import (
-    decrypt_packet,
-    decrypt_packets,
-    encrypt_packet,
-    encrypt_packets,
-)
+from repro.core.stream import decrypt_packet, encrypt_packet
 from repro.net import SecureLinkClient, SecureLinkServer
 from repro.net.session import Session, SessionConfig
 from repro.parallel import ParallelCodec
@@ -71,9 +66,12 @@ class TestStreamSelectors:
         payloads = [b"one", b"two", b"three"]
         nonces = [0x21, 0x22, 0x23]
         with no_deprecations():
-            packets = encrypt_packets(payloads, key16, nonces, engine=engine)
-            assert decrypt_packets(packets, key16, engine=engine) == payloads
+            packets = [encrypt_packet(p, key16, nonce=n, engine=engine)
+                       for p, n in zip(payloads, nonces)]
+            assert [decrypt_packet(p, key16, engine=engine)
+                    for p in packets] == payloads
         assert packets == codec.encrypt_packets(payloads, nonces)
+        assert codec.decrypt_packets(packets) == payloads
 
     def test_default_and_object_selectors_stay_silent(self, key16, engine):
         with no_deprecations():
