@@ -73,6 +73,64 @@ class TestAsyncSessionOffload:
 
         assert run(scenario()) == [sync_session.encrypt(p) for p in payloads]
 
+    def test_overlapping_pool_encrypts_match_serial_encrypts(self, key16):
+        """Calls started in send order may overlap on the pool."""
+        config = SessionConfig(parallel_threshold=64)
+        serial = Session(key16, "initiator", SESSION_ID)
+        payloads = [bytes([i]) * (32 + 48 * i) for i in range(8)]
+
+        async def scenario() -> tuple[list[bytes], Session]:
+            session = Session(key16, "initiator", SESSION_ID, config=config)
+            with EncryptionPool(2) as pool:
+                packets = await asyncio.gather(
+                    *(session.encrypt_async(p, pool) for p in payloads))
+            return list(packets), session
+
+        packets, parallel = run(scenario())
+        assert packets == [serial.encrypt(p) for p in payloads]
+        assert parallel.next_send_seq == serial.next_send_seq
+        assert (parallel.metrics.tx.payload_bytes
+                == serial.metrics.tx.payload_bytes)
+
+    def test_encrypt_async_without_pool_runs_inline(self, key16):
+        serial = Session(key16, "initiator", SESSION_ID)
+        payloads = [b"one", b"two", b"three"]
+
+        async def scenario() -> list[bytes]:
+            session = Session(key16, "initiator", SESSION_ID)
+            return [await session.encrypt_async(p) for p in payloads]
+
+        assert run(scenario()) == [serial.encrypt(p) for p in payloads]
+
+    def test_oversized_payload_rejected_before_state_change(self, key16):
+        config = SessionConfig(max_payload=16, parallel_threshold=1)
+
+        async def scenario() -> Session:
+            session = Session(key16, "initiator", SESSION_ID, config=config)
+            with EncryptionPool(1) as pool:
+                with pytest.raises(SessionError):
+                    await session.encrypt_async(b"x" * 17, pool)
+            return session
+
+        session = run(scenario())
+        assert session.next_send_seq == 0  # no nonce consumed
+        assert session.metrics.tx.payload_bytes == 0
+
+    def test_receiver_decrypts_offloaded_output(self, key16):
+        config = SessionConfig(parallel_threshold=8)
+        payloads = [bytes([i]) * 64 for i in range(5)]
+
+        async def scenario() -> list[bytes]:
+            sender = Session(key16, "initiator", SESSION_ID, config=config)
+            receiver = Session(key16, "responder", SESSION_ID, config=config)
+            with EncryptionPool(2) as pool:
+                packets = [await sender.encrypt_async(p, pool)
+                           for p in payloads]
+                return [await receiver.decrypt_async(p, pool)
+                        for p in packets]
+
+        assert run(scenario()) == payloads
+
     def test_decrypt_async_enforces_replay_window(self, key16):
         from repro.core.errors import ReplayError
 
