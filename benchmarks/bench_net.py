@@ -5,10 +5,13 @@ these benches report what a complete *software link* achieves — cipher,
 packet container, framing, sessions and asyncio transport included — so
 the two can be compared on the same axis (Mbps).  Also measures the
 incremental ``FrameDecoder`` against the all-at-once ``split_packets``
-it replaces for streaming use.
+it replaces for streaming use, and prices the link-level worker-pool
+offload against inline cipher work at 4, 32 and 256 KiB.
 """
 
 import asyncio
+import os
+import time
 
 from repro.analysis.workloads import packet_payloads
 from repro.core.stream import encrypt_packet, split_packets
@@ -18,21 +21,25 @@ from repro.net.session import Session, SessionConfig
 SESSION_ID = b"benchsid"
 
 
-async def _echo_roundtrip(key, payloads):
-    """One full link lifetime; returns the client session metrics."""
-    async with SecureLinkServer(key, port=0) as server:
-        async with SecureLinkClient(key, port=server.port,
+async def _echo_roundtrip(key, payloads, config=None):
+    """One full link lifetime; returns the client session metrics and
+    the seconds ``send_all`` took (link set-up excluded)."""
+    async with SecureLinkServer(key, port=0, config=config) as server:
+        async with SecureLinkClient(key, port=server.port, config=config,
                                     session_id=SESSION_ID) as client:
+            start = time.perf_counter()
             replies = await client.send_all(payloads)
+            elapsed = time.perf_counter() - start
             assert replies == payloads
-            return client.metrics
+            return client.metrics, elapsed
 
 
 def test_link_echo_throughput(benchmark, bench_key, emit):
     payloads = packet_payloads(64, seed=11)
     total = sum(len(p) for p in payloads)
 
-    metrics = benchmark(lambda: asyncio.run(_echo_roundtrip(bench_key, payloads)))
+    metrics, _ = benchmark(
+        lambda: asyncio.run(_echo_roundtrip(bench_key, payloads)))
 
     snapshot = metrics.snapshot()
     emit(
@@ -115,10 +122,7 @@ def test_link_goodput_gate(bench_key, emit):
     * LinkPair goodput >= 5x the pre-rework baseline (0.0135 MB/s
       measured on the 1-CPU CI-class box that set it).
     """
-    import time
-
     from repro.link import LinkPair, PayloadReceived
-    from repro.net.session import SessionConfig
 
     baseline_mb_s = 0.0135  # pre-zero-copy LinkPair goodput (PR 6)
     payloads = [bytes((i + j) % 256 for j in range(4096)) for i in range(16)]
@@ -167,6 +171,33 @@ def test_link_goodput_gate(bench_key, emit):
     assert ratio >= 0.25, (
         f"goodput_over_core_ratio {ratio:.3f} below the 0.25 floor: the "
         f"link layer is burning cipher budget on overhead again")
+
+
+def test_link_offload_echo(bench_key, emit):
+    """Record the link offload (2 workers per peer) against inline; no gate.
+
+    The numbers the link offload is kept or deleted by: asyncio echo
+    goodput inline and with ``SessionConfig(parallel_workers=2,
+    parallel_threshold=size)`` at 4, 32 and 256 KiB.  Only the echoes
+    are asserted — the speedup is a fact about the host's cores, and is
+    emitted for the decision, never gated.
+    """
+    lines = [f"cpu_count: {os.cpu_count()}",
+             "asyncio echo goodput, inline vs 2 workers per peer "
+             "(send_all only, link set-up excluded)"]
+    for size, count in ((4 << 10, 16), (32 << 10, 4), (256 << 10, 2)):
+        payloads = [bytes((i + j) % 256 for j in range(size))
+                    for i in range(count)]
+        total = size * count
+        pooled = SessionConfig(parallel_workers=2, parallel_threshold=size)
+        _, t_inline = asyncio.run(_echo_roundtrip(bench_key, payloads))
+        _, t_pooled = asyncio.run(_echo_roundtrip(bench_key, payloads, pooled))
+        lines.append(
+            f"{count:2d} x {size >> 10:3d} KiB: inline "
+            f"{total / t_inline / 1e6:.3f} MB/s, 2 workers "
+            f"{total / t_pooled / 1e6:.3f} MB/s "
+            f"({t_inline / t_pooled:.2f}x)")
+    emit("net_link_offload", "\n".join(lines))
 
 
 def test_frame_decoder_vs_split_packets(benchmark, bench_key, emit):

@@ -75,6 +75,10 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs)."""
     from repro import __version__
+    from repro.net.session import (
+        DEFAULT_PARALLEL_THRESHOLD,
+        DEFAULT_REKEY_INTERVAL,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro-mhhea",
@@ -196,11 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="port (0 picks a free one)")
     add_transport_flag(serve)
-    serve.add_argument("--rekey-interval", type=int, default=1024,
+    serve.add_argument("--rekey-interval", type=int,
+                       default=DEFAULT_REKEY_INTERVAL,
                        help="packets per direction before the key ratchets")
     add_engine_flag(serve)
     add_workers_flag(serve)
-    serve.add_argument("--parallel-threshold", type=int, default=None,
+    serve.add_argument("--parallel-threshold", type=int,
+                       default=DEFAULT_PARALLEL_THRESHOLD,
                        help="smallest payload (bytes) offloaded to workers")
     add_kex_flag(serve)
     add_metrics_flag(serve)
@@ -212,11 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_transport_flag(send)
     send.add_argument("--chunk", type=int, default=1024,
                       help="payload bytes per packet")
-    send.add_argument("--rekey-interval", type=int, default=1024,
+    send.add_argument("--rekey-interval", type=int,
+                      default=DEFAULT_REKEY_INTERVAL,
                       help="must match the server's setting")
     add_engine_flag(send)
     add_workers_flag(send)
-    send.add_argument("--parallel-threshold", type=int, default=None,
+    send.add_argument("--parallel-threshold", type=int,
+                      default=DEFAULT_PARALLEL_THRESHOLD,
                       help="smallest payload (bytes) offloaded to workers")
     add_kex_flag(send)
     send.add_argument("--ticket-file", default=None, metavar="PATH",
@@ -276,11 +284,9 @@ def _link_codec(args) -> "Codec":
     """Build the Codec shared by the serve/send subcommands."""
     from repro.api import open_codec
 
-    extra = {}
-    if args.parallel_threshold is not None:
-        extra["parallel_threshold"] = args.parallel_threshold
     return open_codec(args.key, engine=args.engine, workers=args.workers,
-                      rekey_interval=args.rekey_interval, **extra)
+                      rekey_interval=args.rekey_interval,
+                      parallel_threshold=args.parallel_threshold)
 
 
 def _obs_registry(args):

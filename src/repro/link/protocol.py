@@ -628,16 +628,12 @@ class LinkProtocol:
             return self._fail(HandshakeError(
                 "unexpected hello frame mid-session"
             ))
-        if not self._decrypt_payloads:
-            # Copy out of the decoder's drain buffer: the event may
-            # outlive this call and cross a process-pool pickle boundary,
-            # neither of which a memoryview survives.
-            return [PacketReceived(bytes(frame.raw))]
-        try:
-            payload = self._session.decrypt(frame.raw)
-        except ReproError as exc:
-            return self._fail(exc)
-        return [PayloadReceived(payload, self._session.last_recv_seq)]
+        # Only decrypt_payloads=False gets here: receive_data batches
+        # every OPEN packet through Session.decrypt_batch otherwise.
+        # Copy out of the decoder's drain buffer: the event may outlive
+        # this call and cross a process-pool pickle boundary, neither of
+        # which a memoryview survives.
+        return [PacketReceived(bytes(frame.raw))]
 
     def _handle_kex_frame(self, frame) -> list[LinkEvent]:
         """One frame while the hello-v2 exchange runs (``KEX`` state).

@@ -627,7 +627,7 @@ class ScenarioResult:
     digest."""
 
     def to_dict(self) -> dict:
-        """JSON-ready form (BENCH_pipeline.json carries these)."""
+        """JSON-ready form (``repro-mhhea scenario --json`` prints these)."""
         return {"name": self.name, "ok": self.ok,
                 "problems": list(self.problems),
                 "directions": self.directions}
@@ -820,7 +820,7 @@ def run_stream_control(mix: TrafficMix | None = None,
 
 
 def standard_matrix() -> list[Scenario]:
-    """The committed scenario battery (BENCH_pipeline.json's section).
+    """The committed scenario battery (tier-1 runs it; so does the CLI).
 
     One clean baseline, one schedule per fault family, a combined
     hostile mix in both simplex and duplex shapes, and the cover-traffic

@@ -1,4 +1,4 @@
-"""CRC-16/CCITT-FALSE: table-driven production form + bit-serial golden model.
+"""CRC-16/CCITT-FALSE: the production form + a bit-serial golden model.
 
 The packet container (:mod:`repro.core.stream`) protects its payload with
 this CRC so corrupted links are detected before extraction garbles the
@@ -10,15 +10,13 @@ Two implementations live here on purpose, mirroring the engine split of
 :mod:`repro.core.engine` / :mod:`repro.core.fastpath`:
 
 * :func:`crc16_ccitt_bitserial` — the bit-serial formulation, one
-  polynomial step per message bit.  It doubles as the golden model for
-  the (optional) CRC hardware exercises in the HDL tests.
+  polynomial step per message bit: the golden model that
+  ``tests/util/test_crc.py`` checks the production form against.
 * :func:`crc16_ccitt` — the form every caller uses.  CRC-16/CCITT-FALSE
   is exactly the XMODEM/binhex polynomial run with init ``0xFFFF``, so
   production delegates to :func:`binascii.crc_hqx` (a C loop — the CRC
-  covers every wire byte, which made the pure-Python table loop a
-  measurable share of the link hot path).  The 256-entry table form is
-  kept as :func:`crc16_ccitt_table`; ``tests/util`` cross-checks all
-  three implementations.
+  covers every wire byte, which made a pure-Python table loop a
+  measurable share of the link hot path).
 
 Both accept any bytes-like object (``bytes``, ``bytearray``,
 ``memoryview``) so the zero-copy framing path can checksum views
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 from binascii import crc_hqx as _crc_hqx
 
-__all__ = ["crc16_ccitt", "crc16_ccitt_table", "crc16_ccitt_bitserial", "Crc16"]
+__all__ = ["crc16_ccitt", "crc16_ccitt_bitserial", "Crc16"]
 
 _POLY = 0x1021
 
@@ -44,21 +42,6 @@ def crc16_ccitt_bitserial(data: bytes, init: int = 0xFFFF) -> int:
                 crc = ((crc << 1) ^ _POLY) & 0xFFFF
             else:
                 crc = (crc << 1) & 0xFFFF
-    return crc
-
-
-#: One polynomial-division step per *byte*: the table entry for the top
-#: byte of the register is exactly eight bit-serial steps, sampled from
-#: the golden model above.
-_TABLE = tuple(crc16_ccitt_bitserial(bytes([b]), init=0) for b in range(256))
-
-
-def crc16_ccitt_table(data: bytes, init: int = 0xFFFF) -> int:
-    """Byte-at-a-time table CRC-16/CCITT-FALSE (pure-Python form)."""
-    crc = init & 0xFFFF
-    table = _TABLE
-    for byte in memoryview(data):
-        crc = ((crc << 8) & 0xFF00) ^ table[(crc >> 8) ^ byte]
     return crc
 
 

@@ -398,6 +398,16 @@ class TestObservabilityCli:
         assert args.json is True
         args = parser.parse_args(["serve", "--key", "x"])
         assert args.metrics_port is None
+        # The link flags default to the library's link policy.
+        from repro.api import Codec
+        from repro.cli import _link_codec
+
+        key_hex = "03:25:71:46"
+        expected = Codec(key_hex).session_config()
+        for argv in (["serve", "--key", key_hex],
+                     ["send", "--key", key_hex, "--port", "1", "in.bin"]):
+            with _link_codec(parser.parse_args(argv)) as codec:
+                assert codec.session_config() == expected
 
 
 class TestScenario:

@@ -40,9 +40,9 @@ class TestIncremental:
 
 class TestTableVsBitSerial:
     def test_table_form_matches_golden_model(self):
-        # The production table form is generated from the bit-serial
-        # golden model; this differential pins them together anyway so
-        # an edit to either cannot drift silently.
+        # The production form runs binascii.crc_hqx; this differential
+        # pins it to the bit-serial golden model so an edit to either
+        # cannot drift silently.
         import random
 
         from repro.util.crc import crc16_ccitt_bitserial
