@@ -13,14 +13,18 @@ densest:
   session and link collectors registered per connection).
 
 Each gate reads the median of ``PAIRS`` per-pair enabled/disabled
-wall-clock ratios.  The two runs of a pair go back to back, and which
-side runs first alternates, so a slow phase of a shared host lands in
-one or two pairs rather than in the verdict (min-of-5 over whole runs
-failed this gate on a 2-CPU host at 1.08-1.15x while 15-pair medians of
-the same code read 0.98-1.02x).  The gate is ``MAX_OVERHEAD`` (1.05 =
-5%) plus a small absolute floor so microsecond-scale jitter on fast
-machines cannot fail the ratio on a workload that got too cheap to
-resolve.
+wall-clock ratios, so a slow phase of a shared host lands in one or two
+pairs rather than in the verdict (min-of-5 over whole runs failed this
+gate on a 2-CPU host at 1.08-1.15x while 15-pair medians of the same
+code read 0.98-1.02x).  A pair runs the workload four times in ABBA
+order — disabled, enabled, enabled, disabled, and the next pair the
+mirror image — and its ratio is the summed enabled time over the summed
+disabled time, so a host-speed drift that is linear across the pair
+cancels instead of landing on whichever side ran second (with one run
+per side, 4 of 15 runs of this file failed a gate on unchanged code).
+The gate is ``MAX_OVERHEAD`` (1.05 = 5%) plus a small absolute floor so
+microsecond-scale jitter on fast machines cannot fail the ratio on a
+workload that got too cheap to resolve.
 
 Wire bytes are asserted identical between the enabled and disabled
 runs — observability must never touch the data path.
@@ -46,7 +50,7 @@ MAX_OVERHEAD = 1.05
 #: timer resolution, not the instrumentation, dominates the ratio.
 JITTER_FLOOR = 0.002
 
-#: Interleaved (disabled, enabled) run pairs behind each gate.
+#: ABBA-ordered (disabled, enabled) run pairs behind each gate.
 PAIRS = 15
 
 _NONCE = 0xBEEF
@@ -55,11 +59,12 @@ _NONCE = 0xBEEF
 def _timed_pair(workload, pairs: int = PAIRS):
     """(disabled_s, enabled_s, disabled_result, enabled_result, registry).
 
-    Runs the workload ``pairs`` times under the null registry and as
-    often under a live :class:`~repro.obs.core.ObsRegistry`, one of each
-    per pair, alternating which goes first.  ``disabled_s`` is the
-    median disabled time and ``enabled_s`` that times the median
-    per-pair ratio.  The process-wide registry is always restored.
+    Each of the ``pairs`` pairs runs the workload twice under the null
+    registry and twice under a live :class:`~repro.obs.core.ObsRegistry`,
+    in ABBA order that mirrors from one pair to the next.
+    ``disabled_s`` is the median per-run disabled time and ``enabled_s``
+    that times the median pair ratio (summed enabled over summed
+    disabled time).  The process-wide registry is always restored.
     """
     live = obs.ObsRegistry()
     previous = obs.set_registry(None)
@@ -67,13 +72,14 @@ def _timed_pair(workload, pairs: int = PAIRS):
     try:
         workload()  # warm caches once, outside both timings
         for index in range(pairs):
-            seconds = {}
-            for registry in (None, live) if index % 2 else (live, None):
+            first, second = (live, None) if index % 2 else (None, live)
+            seconds = {None: 0.0, live: 0.0}
+            for registry in (first, second, second, first):
                 obs.set_registry(registry)
                 start = time.perf_counter()
                 results[registry] = workload()
-                seconds[registry] = time.perf_counter() - start
-            offs.append(seconds[None])
+                seconds[registry] += time.perf_counter() - start
+            offs.append(seconds[None] / 2)
             ratios.append(seconds[live] / seconds[None])
     finally:
         obs.set_registry(previous)

@@ -24,10 +24,12 @@ sides of a link must simply agree — the trade-off is documented in
 DESIGN.md section 2.
 
 This module is the *reference* engine: one bit per inner-loop iteration,
-optimised for being obviously faithful to the pseudocode.  The
-word-level production engine lives in :mod:`repro.core.fastpath` and is
-pinned to this implementation by the differential conformance suite
-(``tests/core/test_fastpath_equiv.py``, DESIGN.md section 8).
+optimised for being obviously faithful to the pseudocode, and the only
+implementation of bit lists, framing, traces and injected policies.  The
+word-level production kernel of the byte path lives in
+:mod:`repro.core.fastpath` and is pinned to this implementation by the
+conformance corpus (``tests/core/test_conformance.py``, DESIGN.md
+section 8).
 """
 
 from __future__ import annotations
@@ -215,8 +217,7 @@ def _validate_window(kn1: int, kn2: int, params: VectorParams) -> None:
     Raises :class:`CipherFormatError` — not a bare :class:`ValueError` —
     so a pathological policy can never silently corrupt a stream and so
     callers handle it through the same hierarchy as any other malformed
-    ciphertext.  The fast engine (:mod:`repro.core.fastpath`) enforces
-    the identical contract.
+    ciphertext.
     """
     if not 0 <= kn1 <= kn2 <= params.key_max:
         raise CipherFormatError(

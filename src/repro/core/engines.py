@@ -21,13 +21,15 @@ module is the one place that chooses between them:
 
 Callers hold a resolved :class:`Engine` object (usually inside a
 :class:`repro.api.Codec`) and never re-negotiate the choice per packet.
-A new backend is a plugin: implement :meth:`Engine.embed_bits` /
-:meth:`Engine.extract_bits` (the byte-level hooks have default
-adapters), register a factory, and every layer — packet codec, sharded
-pipeline, secure link, CLI — can select it by name.  The registry is
-keyed by name only; engines must stay pure functions of ``(key,
-algorithm, params, message, source)`` so that every registered engine
-is wire-compatible with every other.
+A new backend is a plugin: implement :meth:`Engine.embed_bytes` /
+:meth:`Engine.extract_bytes`, register a factory, and every byte path —
+packet codec, cipher classes, sharded pipeline, secure link, relay,
+CLI — can select it by name.  The bit-level API
+(``mhhea``/``hhea`` ``encrypt_bits``/``decrypt_bits``) is the golden
+model itself and takes no engine.  The registry is keyed by name only;
+engines must stay pure functions of ``(key, algorithm, params, message,
+source)`` so that every registered engine is wire-compatible with every
+other.
 """
 
 from __future__ import annotations
@@ -78,49 +80,33 @@ def _check_algorithm(algorithm: str) -> str:
 class Engine:
     """One interchangeable implementation of the hiding-cipher family.
 
-    Subclasses implement the bit-level hooks; the byte-level hooks have
-    default adapters so a minimal plugin is two methods.  All engines
-    must compute the same function — the registry models *how* the
-    cipher runs, never *what* it computes — so a conforming backend is
-    byte-identical on the wire to the reference model (the differential
-    suite pins the built-ins together; register your own and reuse it).
+    A backend is two methods: :meth:`embed_bytes` and
+    :meth:`extract_bytes`.  All engines must compute the same function —
+    the registry models *how* the cipher runs, never *what* it computes
+    — so a conforming backend is byte-identical on the wire to the
+    reference model (the conformance corpus in
+    ``tests/core/test_conformance.py`` runs every registered engine).
     """
 
     #: Registry name; set by subclasses.
     name = "?"
 
-    def embed_bits(self, key: Key, algorithm: str, params: VectorParams,
-                   bits: Sequence[int], source,
-                   frame_bits: int | None = None) -> list[int]:
-        """Embed a message bit stream into fresh hiding vectors."""
-        raise NotImplementedError
-
-    def extract_bits(self, key: Key, algorithm: str, params: VectorParams,
-                     vectors: Sequence[int], n_bits: int,
-                     strict: bool = True,
-                     frame_bits: int | None = None) -> list[int]:
-        """Recover ``n_bits`` message bits from ``vectors``."""
-        raise NotImplementedError
-
     def embed_bytes(self, key: Key, algorithm: str, params: VectorParams,
                     data: bytes, source) -> list[int]:
-        """Byte-string embed; default adapter over :meth:`embed_bits`."""
-        return self.embed_bits(key, algorithm, params,
-                               bytes_to_bits(data), source)
+        """Embed ``data`` into fresh hiding vectors drawn from ``source``."""
+        raise NotImplementedError
 
     def extract_bytes(self, key: Key, algorithm: str, params: VectorParams,
                       vectors: Sequence[int], n_bits: int) -> bytes:
-        """Byte-string extract; default adapter over :meth:`extract_bits`."""
-        return bits_to_bytes(
-            self.extract_bits(key, algorithm, params, vectors, n_bits)
-        )
+        """Recover the ``n_bits // 8`` plaintext bytes from ``vectors``."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _policy_module(algorithm: str):
-    """The algorithm module carrying the reference window/data policies.
+def _cipher_module(algorithm: str):
+    """The algorithm module carrying the golden-model bit functions.
 
     Imported lazily: :mod:`repro.core.mhhea` / :mod:`repro.core.hhea`
     import this module at top level, so the reverse edge must not run at
@@ -135,32 +121,19 @@ def _policy_module(algorithm: str):
 
 
 class ReferenceEngine(Engine):
-    """The per-bit golden model (paper pseudocode, trace-capable)."""
+    """The per-bit golden model (paper pseudocode)."""
 
     name = "reference"
 
-    def embed_bits(self, key, algorithm, params, bits, source,
-                   frame_bits=None):
-        """Embed via the generic per-bit stream engine."""
-        from repro.core import engine as _engine
+    def embed_bytes(self, key, algorithm, params, data, source):
+        """Embed the message's bit list with the per-bit model."""
+        return _cipher_module(algorithm).encrypt_bits(
+            bytes_to_bits(data), key, source, params)
 
-        module = _policy_module(algorithm)
-        return _engine.embed_stream(
-            bits, key, source, module._window_policy, module._data_bit_policy,
-            params, frame_bits=frame_bits,
-        )
-
-    def extract_bits(self, key, algorithm, params, vectors, n_bits,
-                     strict=True, frame_bits=None):
-        """Extract via the generic per-bit stream engine."""
-        from repro.core import engine as _engine
-
-        module = _policy_module(algorithm)
-        return _engine.extract_stream(
-            vectors, key, n_bits, module._window_policy,
-            module._data_bit_policy, params, strict=strict,
-            frame_bits=frame_bits,
-        )
+    def extract_bytes(self, key, algorithm, params, vectors, n_bits):
+        """Extract the message's bit list with the per-bit model."""
+        return bits_to_bytes(_cipher_module(algorithm).decrypt_bits(
+            vectors, key, n_bits, params))
 
 
 class FastEngine(Engine):
@@ -175,25 +148,13 @@ class FastEngine(Engine):
         _check_algorithm(algorithm)
         return fastpath.schedule_for(key, algorithm, params)
 
-    def embed_bits(self, key, algorithm, params, bits, source,
-                   frame_bits=None):
-        """Embed on the compiled (and cached) schedule."""
-        return self._schedule(key, algorithm, params).embed_bits(
-            bits, source, frame_bits)
-
-    def extract_bits(self, key, algorithm, params, vectors, n_bits,
-                     strict=True, frame_bits=None):
-        """Extract on the compiled (and cached) schedule."""
-        return self._schedule(key, algorithm, params).extract_bits(
-            vectors, n_bits, strict, frame_bits)
-
     def embed_bytes(self, key, algorithm, params, data, source):
-        """Packed-buffer embed — never materialises a per-bit list."""
+        """Packed-buffer embed on the compiled (and cached) schedule."""
         return self._schedule(key, algorithm, params).embed_bytes(
             data, source)
 
     def extract_bytes(self, key, algorithm, params, vectors, n_bits):
-        """Packed-buffer extract — never materialises a per-bit list."""
+        """Packed-buffer extract on the compiled (and cached) schedule."""
         return self._schedule(key, algorithm, params).extract_bytes(
             vectors, n_bits)
 

@@ -375,28 +375,15 @@ class _RecvHalf:
         self._metrics.record_rx(len(payload), len(packet), gap=gap)
 
     def decrypt(self, packet: bytes) -> bytes:
-        seq, _, key = self._admit(packet)
-        try:
-            payload = decrypt_packet(packet, key, engine=self._backend)
-        except Exception:
-            # Structural/CRC damage: count it, leave the replay window
-            # untouched so a valid retransmission of this sequence number
-            # is still acceptable.
-            self._metrics.record_crc_failure()
-            raise
-        self._commit(seq, packet, payload, key)
-        return payload
+        return self.decrypt_batch((packet,))[0]
 
     def decrypt_batch(self, packets, accepted=None) -> list[bytes]:
-        """Decrypt consecutive packets with amortised bookkeeping.
+        """Admit, verify, extract and commit each packet in order.
 
-        Semantically identical to calling :meth:`decrypt` once per
-        packet — same replay gating, same epoch ratcheting, same error
-        types in the same order — but the hot-path overheads are paid
-        once per batch instead of once per packet: the header is parsed
-        a single time (admission reuses it for verification and
-        extraction) and the engine-op observability update covers the
-        whole batch.
+        The hot-path overheads are paid once per batch instead of once
+        per packet: the header is parsed a single time (admission reuses
+        it for verification and extraction) and the engine-op
+        observability update covers the whole batch.
 
         Commits are per packet, not transactional: packets before a
         failure stay accepted (their replay-window slots are consumed,
@@ -417,6 +404,9 @@ class _RecvHalf:
                     _verify_parsed(packet, header)
                     payload = _extract_verified(packet, header, key, backend)
                 except Exception:
+                    # Structural/CRC damage: count it, leave the replay
+                    # window untouched so a valid retransmission of this
+                    # sequence number is still acceptable.
                     self._metrics.record_crc_failure()
                     raise
                 self._commit(seq, packet, payload, key)

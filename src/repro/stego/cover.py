@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import mhhea
 from repro.core.errors import CoverExhaustedError
 from repro.core.key import Key
+from repro.core.mhhea import EncryptedMessage, MhheaCipher
 from repro.core.params import PAPER_PARAMS, VectorParams
+from repro.core.stream import _payload_to_vectors, _vectors_to_payload
 from repro.core.trace import TraceRecorder
-from repro.util.bits import bits_to_bytes, bytes_to_bits, hamming_distance
+from repro.util.bits import hamming_distance
 
 __all__ = [
     "CoverVectorSource",
@@ -109,17 +110,13 @@ def embed_in_cover(message: bytes, cover: bytes, key: Key,
     the cover runs out of words before the message is fully embedded.
     """
     source = CoverVectorSource(cover, params.width)
-    bits = bytes_to_bits(message)
-    vectors = mhhea.encrypt_bits(bits, key, source, params, trace)
-    step = params.width // 8
-    used = len(vectors) * step
-    out = bytearray()
-    for vector in vectors:
-        out += vector.to_bytes(step, "little")
-    out += cover[used:]
+    ciphertext = MhheaCipher(key, params).encrypt(message, source=source,
+                                                  trace=trace)
+    vectors = ciphertext.vectors
+    used = len(vectors) * (params.width // 8)
     return StegoObject(
-        data=bytes(out), n_bits=len(bits), n_vectors=len(vectors),
-        width=params.width,
+        data=_vectors_to_payload(vectors, params.width) + cover[used:],
+        n_bits=ciphertext.n_bits, n_vectors=len(vectors), width=params.width,
     )
 
 
@@ -131,14 +128,10 @@ def extract_from_cover(stego: StegoObject, key: Key,
             f"stego object uses {stego.width}-bit vectors, "
             f"params say {params.width}"
         )
-    step = params.width // 8
-    payload = stego.data[: stego.n_vectors * step]
-    vectors = [
-        int.from_bytes(payload[i : i + step], "little")
-        for i in range(0, len(payload), step)
-    ]
-    bits = mhhea.decrypt_bits(vectors, key, stego.n_bits, params)
-    return bits_to_bytes(bits)
+    payload = stego.data[: stego.n_vectors * (params.width // 8)]
+    vectors = _payload_to_vectors(payload, params.width)
+    return MhheaCipher(key, params).decrypt(
+        EncryptedMessage(tuple(vectors), stego.n_bits, params.width))
 
 
 def mean_distortion(cover: bytes, stego: StegoObject,

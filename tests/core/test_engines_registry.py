@@ -181,20 +181,25 @@ class TestEngineEquivalence:
     """The registry objects compute the same function (spot check)."""
 
     @pytest.mark.parametrize("algorithm", engines.ALGORITHM_NAMES)
-    def test_bit_level_round_trip_across_engines(self, algorithm, key4):
+    def test_byte_level_round_trip_across_engines(self, algorithm, key4):
         from repro.util.lfsr import Lfsr
 
-        bits = [(i * 5 + 3) % 2 for i in range(97)]
+        data = bytes(range(0, 250, 7))
         params = key4.params
         out = {}
         for name in engines.registered_engines():
             backend = engines.get_engine(name)
-            vectors = backend.embed_bits(key4, algorithm, params, bits,
-                                         Lfsr(16, seed=0xACE1))
+            vectors = backend.embed_bytes(key4, algorithm, params, data,
+                                          Lfsr(16, seed=0xACE1))
             out[name] = vectors
-            assert backend.extract_bits(key4, algorithm, params, vectors,
-                                        len(bits)) == bits
+            assert backend.extract_bytes(key4, algorithm, params, vectors,
+                                         8 * len(data)) == data
         assert out["reference"] == out["fast"]
+
+    def test_interface_is_the_two_byte_hooks(self):
+        hooks = {name for name, value in vars(engines.Engine).items()
+                 if callable(value) and not name.startswith("_")}
+        assert hooks == {"embed_bytes", "extract_bytes"}
 
     def test_algorithm_name_validated(self, key4):
         backend = engines.get_engine("fast")

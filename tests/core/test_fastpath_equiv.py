@@ -1,11 +1,11 @@
-"""Differential conformance: the fast engine is pinned, bit for bit, to the
-reference engine.
+"""Differential checks of the fast engine against the reference beyond
+the conformance corpus (``tests/core/test_conformance.py``).
 
-Randomised cross-checks (seeded via ``REPRO_TEST_SEED`` for reproducible CI
-runs) cover both ciphers, both framing semantics, every supported width,
-truncated final windows and EOF edge cases — the contract that makes
-``engine="fast"`` safe to enable anywhere.  Each (cipher, framing) combo
-runs ``CASES`` randomised cases; the acceptance bar is zero mismatches.
+The leap-table LFSR must replay the reference register, packets and the
+bytes-level cipher classes must be byte-identical across engines, the
+schedule cache must key and release correctly, and a vector source of
+the wrong width must fail the same way in every engine.  Randomised
+cases are seeded via ``REPRO_TEST_SEED`` for reproducible CI runs.
 """
 
 import os
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.api import Codec
-from repro.core import fastpath, hhea, mhhea
+from repro.core import engines, fastpath
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.core.params import VectorParams
@@ -31,30 +31,8 @@ from repro.util.lfsr import PRIMITIVE_TAPS, LeapLfsr, Lfsr
 #: replay a CI failure locally (the CI matrix pins it).
 SEED = int(os.environ.get("REPRO_TEST_SEED", "20050307"))
 
-#: Randomised cases per (cipher, framing) combination.
-CASES = 1000
-
 #: Engine-level widths under test (packets additionally need width % 8 == 0).
 WIDTHS = (4, 8, 16, 32)
-
-CIPHERS = {"hhea": hhea, "mhhea": mhhea}
-
-
-def _random_message(rng: random.Random) -> list[int]:
-    """Length distribution exercising EOF and truncated-final-window paths:
-    empty, single-bit, sub-frame, multi-frame, and exact frame multiples."""
-    shape = rng.randrange(6)
-    if shape == 0:
-        n = 0
-    elif shape == 1:
-        n = rng.randint(1, 3)
-    elif shape == 2:
-        n = rng.randint(4, 15)
-    elif shape == 3:
-        n = 16 * rng.randint(1, 8)  # exact frame boundary
-    else:
-        n = rng.randint(17, 400)
-    return [rng.randint(0, 1) for _ in range(n)]
 
 
 class TestLeapLfsrConformance:
@@ -92,76 +70,6 @@ class TestLeapLfsrConformance:
     def test_rejects_zero_seed(self):
         with pytest.raises(ValueError, match="non-zero"):
             LeapLfsr(16, seed=0)
-
-
-@pytest.mark.parametrize("cipher", sorted(CIPHERS))
-@pytest.mark.parametrize("frame_bits", [None, 16])
-class TestDifferentialConformance:
-    """fast == reference over randomised keys, widths, messages, seeds."""
-
-    def test_randomized_cross_check(self, cipher, frame_bits):
-        mod = CIPHERS[cipher]
-        rng = random.Random(f"{SEED}:{cipher}:{frame_bits}")
-        mismatches = 0
-        for trial in range(CASES):
-            width = rng.choice(WIDTHS)
-            params = VectorParams(width)
-            key = Key.generate(rng.randrange(1 << 32),
-                               rng.randint(1, 16), params)
-            bits = _random_message(rng)
-            seed = rng.randrange(1, 1 << width)
-            src_ref = Lfsr(width, seed=seed)
-            src_fast = Lfsr(width, seed=seed)
-            v_ref = mod.encrypt_bits(bits, key, src_ref, params,
-                                     frame_bits=frame_bits,
-                                     engine="reference")
-            v_fast = mod.encrypt_bits(bits, key, src_fast, params,
-                                      frame_bits=frame_bits, engine="fast")
-            if v_ref != v_fast:
-                mismatches += 1
-                continue
-            # The fast path must leave the caller's RNG in the exact state
-            # the reference would have (it writes the leap state back).
-            assert src_ref.state == src_fast.state, trial
-            # Cross-decryption: each engine decrypts the other's output.
-            assert mod.decrypt_bits(v_ref, key, len(bits), params,
-                                    frame_bits=frame_bits,
-                                    engine="fast") == bits, trial
-            assert mod.decrypt_bits(v_fast, key, len(bits), params,
-                                    frame_bits=frame_bits,
-                                    engine="reference") == bits, trial
-        assert mismatches == 0
-
-    def test_truncated_ciphertext_raises_in_both(self, cipher, frame_bits):
-        mod = CIPHERS[cipher]
-        rng = random.Random(f"{SEED}:trunc:{cipher}:{frame_bits}")
-        for _ in range(50):
-            width = rng.choice(WIDTHS)
-            params = VectorParams(width)
-            key = Key.generate(rng.randrange(1 << 32),
-                               rng.randint(1, 16), params)
-            bits = [rng.randint(0, 1) for _ in range(rng.randint(2, 80))]
-            vectors = mod.encrypt_bits(bits, key, Lfsr(width, seed=1), params,
-                                       frame_bits=frame_bits, engine="fast")
-            for engine in ("reference", "fast"):
-                with pytest.raises(CipherFormatError, match="truncated"):
-                    mod.decrypt_bits(vectors[:-1], key, len(bits), params,
-                                     frame_bits=frame_bits, engine=engine)
-
-    def test_trailing_ciphertext_strictness_matches(self, cipher, frame_bits):
-        mod = CIPHERS[cipher]
-        key = Key.generate(seed=11, n_pairs=5)
-        bits = [1, 0, 1] * 8
-        vectors = mod.encrypt_bits(bits, key, Lfsr(16, seed=9),
-                                   frame_bits=frame_bits, engine="reference")
-        extra = vectors + [0]
-        for engine in ("reference", "fast"):
-            with pytest.raises(CipherFormatError, match="trailing"):
-                mod.decrypt_bits(extra, key, len(bits),
-                                 frame_bits=frame_bits, engine=engine)
-            assert mod.decrypt_bits(extra, key, len(bits), strict=False,
-                                    frame_bits=frame_bits,
-                                    engine=engine) == bits
 
 
 class TestPacketDifferential:
@@ -233,32 +141,28 @@ class TestScheduleCache:
 class TestSourceWidthMismatch:
     """A wrong-width Lfsr must fail exactly like the reference engine."""
 
-    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
-    def test_too_wide_lfsr_raises_in_both_engines(self, cipher):
-        mod = CIPHERS[cipher]
+    @pytest.mark.parametrize("algorithm", engines.ALGORITHM_NAMES)
+    def test_too_wide_lfsr_raises_in_every_engine(self, algorithm):
         key = Key.generate(seed=3)  # 16-bit params
-        bits = [1, 0, 1, 1] * 10
-        results = []
-        for engine in ("reference", "fast"):
+        for name in engines.registered_engines():
             with pytest.raises(ValueError, match="hiding vector"):
                 # A 32-bit register eventually emits words over 16 bits;
-                # both engines must reject rather than emit garbage.
-                mod.encrypt_bits(bits, key, Lfsr(32, seed=0xDEADBEEF),
-                                 engine=engine)
-            results.append("raised")
-        assert results == ["raised", "raised"]
+                # every engine must reject rather than emit garbage.
+                engines.get_engine(name).embed_bytes(
+                    key, algorithm, key.params, b"\xbd" * 5,
+                    Lfsr(32, seed=0xDEADBEEF))
 
-    @pytest.mark.parametrize("cipher", sorted(CIPHERS))
-    def test_narrower_lfsr_stays_bit_identical(self, cipher):
-        # A narrower register is legal (its words always fit); the fast
-        # engine must still take it and agree with the reference.
-        mod = CIPHERS[cipher]
+    @pytest.mark.parametrize("algorithm", engines.ALGORITHM_NAMES)
+    def test_narrower_lfsr_stays_bit_identical(self, algorithm):
+        # A narrower register is legal (its words always fit); every
+        # engine must take it and agree with the reference.
         key = Key.generate(seed=3)
-        bits = [1, 0, 1, 1] * 10
-        ref = mod.encrypt_bits(bits, key, Lfsr(8, seed=0x5A),
-                               engine="reference")
-        fast = mod.encrypt_bits(bits, key, Lfsr(8, seed=0x5A), engine="fast")
-        assert ref == fast
+        out = {
+            name: engines.get_engine(name).embed_bytes(
+                key, algorithm, key.params, b"\xbd" * 5, Lfsr(8, seed=0x5A))
+            for name in engines.registered_engines()
+        }
+        assert all(vectors == out["reference"] for vectors in out.values())
 
 
 class TestMalformedPacketParity:

@@ -16,8 +16,7 @@ class TestReferenceEquivalence:
         key = Key.generate(seed=3)
         bits = bytes_to_bits(payload)
         run = HheaSerialCycleModel(key).run(bits, seed=seed)
-        ref = hhea.encrypt_bits(bits, key, Lfsr(16, seed=seed), frame_bits=16,
-                                engine="reference")
+        ref = hhea.encrypt_bits(bits, key, Lfsr(16, seed=seed), frame_bits=16)
         assert run.vectors == ref
 
     def test_empty_message(self, key16):
@@ -28,7 +27,7 @@ class TestReferenceEquivalence:
         bits = bytes_to_bits(b"serial but correct")
         run = HheaSerialCycleModel(key16).run(bits, seed=77)
         assert hhea.decrypt_bits(run.vectors, key16, len(bits),
-                                 frame_bits=16, engine="reference") == bits
+                                 frame_bits=16) == bits
 
 
 class TestKeyDependentTiming:

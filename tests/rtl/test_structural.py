@@ -36,7 +36,7 @@ class TestMhheaGateLevel:
         bits = bytes_to_bits(b"abcd")
         run = mhhea_driver.run(bits, key16)
         ref = mhhea.encrypt_bits(bits, key16, Lfsr(16, seed=0x5EED),
-                                 frame_bits=16, engine="reference")
+                                 frame_bits=16)
         assert run.vectors == ref
 
     def test_multi_block(self, mhhea_driver, key16):
@@ -62,7 +62,7 @@ class TestMhheaGateLevel:
         bits = bytes_to_bits(b"hardware to software")  # 5 blocks
         run = mhhea_driver.run(bits, key16)
         assert mhhea.decrypt_bits(run.vectors, key16, len(bits),
-                                  frame_bits=16, engine="reference") == bits
+                                  frame_bits=16) == bits
 
     def test_rejects_partial_blocks(self, mhhea_driver, key16):
         with pytest.raises(HardwareModelError):
@@ -87,7 +87,7 @@ class TestSerialGateLevel:
         bits = bytes_to_bits(b"serial check 1234567")  # 5 blocks
         run = driver.run(bits, key16)
         ref = hhea.encrypt_bits(bits, key16, Lfsr(16, seed=0x0BAD),
-                                frame_bits=16, engine="reference")
+                                frame_bits=16)
         cm = HheaSerialCycleModel(key16).run(bits, seed=0x0BAD)
         assert run.vectors == ref
         assert run.vectors == cm.vectors

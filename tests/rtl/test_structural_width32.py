@@ -34,7 +34,7 @@ class TestWidth32Structural:
         bits = bytes_to_bits(b"wide vectors in gates!!!")  # 3 x 64-bit blocks
         run = driver.run(bits, key)
         ref = mhhea.encrypt_bits(bits, key, Lfsr(32, seed=0xBEEF1), params,
-                                 frame_bits=32, engine="reference")
+                                 frame_bits=32)
         assert run.vectors == ref
 
     def test_gate_level_matches_cycle_model(self, wide):
@@ -49,7 +49,7 @@ class TestWidth32Structural:
         bits = bytes_to_bits(b"decrypt the wide build..")
         run = driver.run(bits, key)
         assert mhhea.decrypt_bits(run.vectors, key, len(bits), params,
-                                  frame_bits=32, engine="reference") == bits
+                                  frame_bits=32) == bits
 
     def test_resources_scale_with_width(self, wide):
         _, _, driver = wide

@@ -46,6 +46,7 @@ AUDITED_MODULES = [
     "repro.core.fastpath",
     "repro.core.engine",
     "repro.core.engines",
+    "repro.core.cipher",
     "repro.core.errors",
     "repro.core.key",
     "repro.link",
