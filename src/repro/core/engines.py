@@ -131,7 +131,13 @@ class ReferenceEngine(Engine):
             bytes_to_bits(data), key, source, params)
 
     def extract_bytes(self, key, algorithm, params, vectors, n_bits):
-        """Extract the message's bit list with the per-bit model."""
+        """Extract the message's bit list with the per-bit model.
+
+        A bit count of partial bytes is rejected before decoding, as the
+        fast kernel does, so the verdict never depends on the vectors.
+        """
+        if n_bits > 0 and n_bits % 8 != 0:
+            raise ValueError(f"bit count {n_bits} is not a multiple of 8")
         return bits_to_bytes(_cipher_module(algorithm).decrypt_bits(
             vectors, key, n_bits, params))
 

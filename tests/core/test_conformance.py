@@ -28,11 +28,14 @@ failing case; replay it with::
 
 The corpus is seeded by ``REPRO_TEST_SEED`` (CI pins it) and holds
 ``CASES_PER_WIDTH`` cases per (algorithm, width), about 1000 per
-algorithm.  The RTL cycle model is pinned to the reference separately
+algorithm.  A registered plugin joins it like the built-ins, and three
+deliberately broken plugins show that the vector, source-state and
+strictness checks each catch their fault.  The RTL cycle model is pinned to the reference separately
 (``tests/rtl``): it implements the hardware's ``frame_bits=width``
 framing, which packets never use.
 """
 
+import copy
 import math
 import os
 import random
@@ -41,11 +44,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import engines
+from repro.core import engines, hhea, mhhea
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.core.params import VectorParams
 from repro.stego.cover import CoverVectorSource
+from repro.util.bits import bits_to_bytes
 from repro.util.lfsr import PRIMITIVE_TAPS, Lfsr
 
 SEED = int(os.environ.get("REPRO_TEST_SEED", "20050307"))
@@ -227,3 +231,85 @@ def test_corpus_covers_every_shape():
     assert {int(case["pairs"]) for case in cases} == set(range(1, 17))
     assert len(set(ids)) > 0.95 * len(ids)
 
+
+
+class _Delegate(engines.Engine):
+    """A plugin over the fast engine; the subclasses each break one
+    clause of the contract that :func:`check_case` checks."""
+
+    name = "delegate"
+
+    def __init__(self):
+        self.embeds = 0
+        self._fast = engines.FastEngine()
+
+    def embed_bytes(self, key, algorithm, params, data, source):
+        self.embeds += 1
+        return self._fast.embed_bytes(key, algorithm, params, data, source)
+
+    def extract_bytes(self, key, algorithm, params, vectors, n_bits):
+        return self._fast.extract_bytes(key, algorithm, params, vectors,
+                                        n_bits)
+
+
+class _WrongCipher(_Delegate):
+    """Runs plain HHEA whatever the algorithm."""
+
+    name = "wrong-cipher"
+    caught_by = "vectors differ"
+
+    def embed_bytes(self, key, algorithm, params, data, source):
+        return super().embed_bytes(key, engines.HHEA, params, data, source)
+
+
+class _StaleSource(_Delegate):
+    """Draws from a copy, leaving the caller's source where it was."""
+
+    name = "stale-source"
+    caught_by = "source end state"
+
+    def embed_bytes(self, key, algorithm, params, data, source):
+        return super().embed_bytes(key, algorithm, params, data,
+                                   copy.copy(source))
+
+
+class _LenientExtract(_Delegate):
+    """Ignores trailing vectors, like the golden model's ``strict=False``."""
+
+    name = "lenient-extract"
+    caught_by = "trailing ciphertext accepted"
+
+    def extract_bytes(self, key, algorithm, params, vectors, n_bits):
+        module = mhhea if algorithm == engines.MHHEA else hhea
+        return bits_to_bytes(module.decrypt_bits(vectors, key, n_bits,
+                                                 params, strict=False))
+
+
+@pytest.fixture
+def plugin(monkeypatch):
+    """Register an engine class for one test; the registry is restored."""
+    def register(engine_class):
+        instance = engine_class()
+        monkeypatch.setitem(engines._FACTORIES, engine_class.name,
+                            engine_class)
+        monkeypatch.setitem(engines._INSTANCES, engine_class.name, instance)
+        return instance
+    return register
+
+
+def test_corpus_runs_registered_plugins(plugin):
+    engine = plugin(_Delegate)
+    case_ids = corpus_ids("mhhea", 16)[:20]
+    for case_id in case_ids:
+        check_case(case_id)
+    assert engine.embeds == len(case_ids)
+
+
+@pytest.mark.parametrize("engine_class",
+                         [_WrongCipher, _StaleSource, _LenientExtract],
+                         ids=lambda engine_class: engine_class.name)
+def test_corpus_catches_a_broken_engine(plugin, engine_class):
+    plugin(engine_class)
+    with pytest.raises(AssertionError,
+                       match=f"{engine_class.name}: {engine_class.caught_by}"):
+        check_case("mhhea-w16-p5-n37-s1a2b")

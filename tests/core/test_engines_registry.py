@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.core import engines
+from repro.core import engines, hhea, mhhea
 from repro.core.errors import (
     ReproError,
     SessionError,
     UnknownEngineError,
 )
+from repro.core.hhea import HheaCipher
 from repro.core.key import Key
+from repro.core.mhhea import MhheaCipher
 from repro.core.stream import decrypt_packet, encrypt_packet
+from repro.util.bits import bits_to_bytes, bytes_to_bits
 
 
 @pytest.fixture
@@ -175,6 +178,91 @@ class TestRegistration:
             assert encrypt_packet(payload, key16, nonce=0x5EED,
                                   engine=backend) == packet
             assert decrypt_packet(packet, key16, engine=backend) == payload
+
+
+GOLDEN = {"mhhea": mhhea, "hhea": hhea}
+
+
+class TwoHookEngine(engines.Engine):
+    """A plugin written against the two-hook contract alone: the golden
+    model's bit functions behind ``embed_bytes``/``extract_bytes``."""
+
+    name = "two-hook"
+
+    def __init__(self):
+        self.calls = []
+
+    def embed_bytes(self, key, algorithm, params, data, source):
+        self.calls.append("embed")
+        return GOLDEN[algorithm].encrypt_bits(bytes_to_bits(data), key,
+                                              source, params)
+
+    def extract_bytes(self, key, algorithm, params, vectors, n_bits):
+        self.calls.append("extract")
+        return bits_to_bytes(GOLDEN[algorithm].decrypt_bits(
+            vectors, key, n_bits, params))
+
+
+@pytest.fixture
+def two_hook(clean_registry):
+    engines.register_engine(TwoHookEngine.name, TwoHookEngine)
+    return engines.get_engine(TwoHookEngine.name)
+
+
+class TestTwoHookPlugin:
+    """Every byte path runs, by name, a plugin that has only the two
+    byte hooks, and its output is the built-ins' byte for byte."""
+
+    def test_packets(self, two_hook, key16):
+        payload = b"two hooks " * 9
+        packet = encrypt_packet(payload, key16, nonce=0x5EED,
+                                engine="two-hook")
+        assert packet == encrypt_packet(payload, key16, nonce=0x5EED,
+                                        engine="fast")
+        assert decrypt_packet(packet, key16, engine="two-hook") == payload
+        assert two_hook.calls == ["embed", "extract"]
+
+    def test_codec(self, two_hook, key16):
+        from repro.api import Codec
+
+        payloads = [b"", b"x", b"codec batch " * 5]
+        nonces = [1, 2, 3]
+        big = bytes(range(256)) * 6  # three 512-byte chunks
+        with Codec(key16, engine="two-hook", chunk_size=512) as codec, \
+                Codec(key16, engine="fast", chunk_size=512) as fast:
+            packets = codec.encrypt_packets(payloads, nonces)
+            assert packets == fast.encrypt_packets(payloads, nonces)
+            assert codec.decrypt_packets(packets) == payloads
+            blob = codec.seal_blob(big)
+            assert blob == fast.seal_blob(big)
+            assert codec.open_blob(blob) == big
+        assert sorted(two_hook.calls) == ["embed"] * 6 + ["extract"] * 6
+
+    @pytest.mark.parametrize("algorithm", engines.ALGORITHM_NAMES)
+    def test_cipher_class(self, two_hook, key16, algorithm):
+        cipher_class = {"mhhea": MhheaCipher, "hhea": HheaCipher}[algorithm]
+        box = cipher_class(key16, engine="two-hook")
+        assert box.backend is two_hook
+        message = box.encrypt(b"cipher object", seed=0x1234)
+        assert message == cipher_class(key16, engine="fast").encrypt(
+            b"cipher object", seed=0x1234)
+        assert box.decrypt(message) == b"cipher object"
+        assert two_hook.calls == ["embed", "extract"]
+
+    def test_link(self, two_hook, key16):
+        from repro.link import LinkPair, PayloadReceived
+        from repro.net.session import SessionConfig
+
+        pair = LinkPair(key16, config=SessionConfig(engine="two-hook"),
+                        session_id=b"PLUGSID1")
+        pair.handshake()
+        two_hook.calls.clear()
+        for payload in (b"one", b"two"):
+            pair.initiator.send_payload(payload)
+        _, events = pair.pump()
+        assert [event.payload for event in events
+                if isinstance(event, PayloadReceived)] == [b"one", b"two"]
+        assert sorted(two_hook.calls) == ["embed"] * 2 + ["extract"] * 2
 
 
 class TestEngineEquivalence:

@@ -1,13 +1,16 @@
 """Differential checks of the fast engine against the reference beyond
 the conformance corpus (``tests/core/test_conformance.py``).
 
-The leap-table LFSR must replay the reference register, packets and the
-bytes-level cipher classes must be byte-identical across engines, the
-schedule cache must key and release correctly, and a vector source of
-the wrong width must fail the same way in every engine.  Randomised
+The leap-table LFSR must replay the reference register, the kernel's one
+window formula must match the reference policies for every key pair and
+scramble half at small widths, packets and the bytes-level cipher
+classes must be byte-identical across engines, the schedule cache must
+key and release correctly, and a vector source of the wrong width must
+fail the same way in every engine.  Randomised
 cases are seeded via ``REPRO_TEST_SEED`` for reproducible CI runs.
 """
 
+import itertools
 import os
 import random
 
@@ -70,6 +73,49 @@ class TestLeapLfsrConformance:
     def test_rejects_zero_seed(self):
         with pytest.raises(ValueError, match="non-zero"):
             LeapLfsr(16, seed=0)
+
+
+class _CyclingSource:
+    """A vector source that replays a fixed word list forever."""
+
+    def __init__(self, words):
+        self._words = itertools.cycle(words)
+
+    def next_word(self) -> int:
+        return next(self._words)
+
+
+class TestWindowFormula:
+    """The fast kernel's one window formula, for both ciphers, against the
+    reference policies: exhaustive over key pairs and the scramble half.
+
+    A window depends only on the (sorted) key pair and the vector's
+    scramble half, so at these widths every (pair, scramble half)
+    combination is one vector of a single-pair key; the low half is
+    random.  The message is long enough that no window is cut short
+    before every combination has been drawn once.
+    """
+
+    @pytest.mark.parametrize("width", (4, 8, 16))
+    @pytest.mark.parametrize("algorithm", engines.ALGORITHM_NAMES)
+    def test_every_pair_and_scramble_half(self, algorithm, width):
+        params = VectorParams(width)
+        rng = random.Random(f"{SEED}:window:{algorithm}:{width}")
+        words = [(high << params.half) | rng.randrange(params.half)
+                 for high in range(1 << params.half)]
+        data = rng.randbytes(len(words) * params.max_window // 8 + 1)
+        reference = engines.get_engine("reference")
+        fast = engines.get_engine("fast")
+        for k1 in range(params.half):
+            for k2 in range(params.half):
+                key = Key([(k1, k2)], params)
+                ref = reference.embed_bytes(key, algorithm, params, data,
+                                            _CyclingSource(words))
+                assert len(ref) > len(words)
+                assert fast.embed_bytes(key, algorithm, params, data,
+                                        _CyclingSource(words)) == ref, (k1, k2)
+                assert fast.extract_bytes(key, algorithm, params, ref,
+                                          8 * len(data)) == data, (k1, k2)
 
 
 class TestPacketDifferential:
