@@ -214,7 +214,7 @@ def test_frame_decoder_vs_split_packets(benchmark, bench_key, emit):
         frames = []
         for offset in range(0, len(stream), mtu):
             frames.extend(decoder.feed(stream[offset:offset + mtu]))
-        decoder.finish()
+        assert decoder.pending == 0
         return frames
 
     frames = benchmark(run)

@@ -46,9 +46,7 @@ from repro.core.stream import (
     decrypt_packet,
     encrypt_packet,
 )
-from repro.kex.handshake import KexConfig, kex_auth_secret
-from repro.kex.hkdf import hkdf_expand
-from repro.kex.tickets import TicketVault
+from repro.kex.handshake import KexConfig, kex_config_for_key
 from repro.link.protocol import LinkProtocol
 from repro.net.client import SecureLinkClient
 from repro.net.server import DEFAULT_QUEUE_DEPTH, SecureLinkServer
@@ -381,14 +379,11 @@ def _resolve_kex(bound, side: str, kex, ticket=None) -> "KexConfig | None":
             f"unknown kex selector {kex!r}: expected 'ecdh', 'psk', "
             f"or a repro.kex.KexConfig"
         )
-    auth = kex_auth_secret(bound.key)
-    common = dict(auth_secret=auth, params=bound.key.params,
-                  n_pairs=len(bound.key))
     if side == "serve":
-        vault = TicketVault(hkdf_expand(auth, b"mhhea-kex ticket vault", 32))
-        return KexConfig(modes=("ecdh", "resume", "psk"), tickets=vault,
-                         **common)
-    return KexConfig(modes=("ecdh", "resume"), ticket=ticket, **common)
+        return kex_config_for_key(bound.key, "responder",
+                                  ("ecdh", "resume", "psk"))
+    return kex_config_for_key(bound.key, "initiator", ("ecdh", "resume"),
+                              ticket=ticket)
 
 
 def connect(codec, host: str = "127.0.0.1", port: int = 0, *,

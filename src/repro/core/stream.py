@@ -32,7 +32,7 @@ field, so header corruption must be as detectable as payload corruption
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core import engines as _engines
 from repro.core.errors import CipherFormatError
@@ -64,6 +64,8 @@ ALGORITHM_MHHEA = 1
 
 _HEADER = struct.Struct("<4sBBBBIIIH")
 HEADER_SIZE = _HEADER.size
+#: Offset of the trailing 2-byte CRC field within the header.
+_CRC_AT = HEADER_SIZE - 2
 
 #: Largest nonce the 32-bit header field can carry.
 NONCE_MAX = 0xFFFFFFFF
@@ -153,8 +155,11 @@ class PacketHeader:
         return cls(algorithm, width, nonce, n_bits, n_vectors, crc)
 
 
-def _packet_crc(header: PacketHeader, payload: bytes) -> int:
+def _packet_crc(header: bytes, payload: bytes) -> int:
     """CRC-16 over the whole packet with the CRC field itself zeroed.
+
+    ``header`` is the 22-byte wire header as packed with a zero CRC
+    field; the sender then patches the result into that field.
 
     Covering the header (not just the payload) matters to the link
     layer: the receive side derives its replay window from the nonce
@@ -166,7 +171,7 @@ def _packet_crc(header: PacketHeader, payload: bytes) -> int:
     ``payload`` may be a zero-copy :class:`memoryview` from the framing
     layer, and ``bytes + memoryview`` would both copy and ``TypeError``.
     """
-    return crc16_ccitt(payload, init=crc16_ccitt(replace(header, crc=0).pack()))
+    return crc16_ccitt(payload, init=crc16_ccitt(header))
 
 
 #: Vector sizes with a native struct format (covers every power-of-two
@@ -238,16 +243,10 @@ def encrypt_packet(
     vectors = backend.embed_bytes(key, _algorithm_name(algorithm), params,
                                   plaintext, source)
     payload = _vectors_to_payload(vectors, params.width)
-    header = PacketHeader(
-        algorithm=algorithm,
-        width=params.width,
-        nonce=nonce,
-        n_bits=n_bits,
-        n_vectors=len(vectors),
-        crc=0,
-    )
-    header = replace(header, crc=_packet_crc(header, payload))
-    packet = header.pack() + payload
+    header = _HEADER.pack(MAGIC, VERSION, algorithm, params.width, 0,
+                          nonce, n_bits, len(vectors), 0)
+    crc = _packet_crc(header, payload)
+    packet = b"".join((header[:_CRC_AT], crc.to_bytes(2, "little"), payload))
     if registry.enabled:
         registry.counter("repro_engine_ops_total",
                          engine=backend.name, op="encrypt").inc()
@@ -262,9 +261,9 @@ def verify_packet(packet: bytes) -> PacketHeader:
 
     Parses the header, checks the payload-length bookkeeping and the
     CRC-16 over header plus payload; returns the parsed header.  This is
-    the integrity half of :func:`decrypt_packet`, split out so the
-    framing layer (``FrameDecoder(verify_crc=True)``) can refuse to emit
-    a damaged frame without holding any key material.
+    the integrity half of :func:`decrypt_packet`, split out so a caller
+    without key material (the scenario harness's reference receiver)
+    can judge a packet's integrity the way the session does.
 
     ``packet`` may be any bytes-like object; the zero-copy receive path
     hands in memoryviews and nothing here materialises them.
@@ -277,8 +276,8 @@ def verify_packet(packet: bytes) -> PacketHeader:
 def _verify_parsed(packet: bytes, header: PacketHeader) -> None:
     """The integrity half of :func:`verify_packet` after header parsing.
 
-    Split out so the batched session decrypt path — which already parsed
-    the header for replay-window admission — does not parse it twice.
+    Split out so the session's receive path — which already parsed the
+    header for replay-window admission — does not parse it twice.
     """
     if header.n_bits % 8 != 0:
         # encrypt_packet only ever writes whole bytes; catching the
@@ -294,7 +293,7 @@ def _verify_parsed(packet: bytes, header: PacketHeader) -> None:
         )
     if len(packet) > HEADER_SIZE + header.payload_size:
         raise CipherFormatError("trailing bytes after payload")
-    actual_crc = _packet_crc(header, payload)
+    actual_crc = _packet_crc(bytes(packet[:_CRC_AT]) + b"\x00\x00", payload)
     if actual_crc != header.crc:
         raise CipherFormatError(
             f"packet CRC mismatch: header {header.crc:#06x}, computed {actual_crc:#06x}"
@@ -305,7 +304,7 @@ def _extract_verified(packet: bytes, header: PacketHeader, key: Key,
                       backend: "_engines.Engine") -> bytes:
     """Extraction half of :func:`decrypt_packet`, after verification.
 
-    Shared by the single-packet path and the session batch path; the
+    Shared by the single-packet path and the session receive path; the
     caller guarantees ``header`` came from ``packet`` and the packet
     passed :func:`verify_packet`'s checks.
     """

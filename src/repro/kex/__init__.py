@@ -31,6 +31,7 @@ from repro.kex.handshake import (
     KexConfig,
     ResumptionTicket,
     kex_auth_secret,
+    kex_config_for_key,
 )
 from repro.kex.hkdf import hkdf, hkdf_expand, hkdf_extract
 from repro.kex.keyring import TENANT_ID_SIZE, TenantKeyring, normalize_tenant_id
@@ -49,6 +50,7 @@ __all__ = [
     "KexConfig",
     "ResumptionTicket",
     "kex_auth_secret",
+    "kex_config_for_key",
     "hkdf",
     "hkdf_extract",
     "hkdf_expand",

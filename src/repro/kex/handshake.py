@@ -63,6 +63,7 @@ __all__ = [
     "KexConfig",
     "Handshake",
     "kex_auth_secret",
+    "kex_config_for_key",
 ]
 
 #: Every mode name a :class:`KexConfig` may list.  ``psk`` is a link
@@ -92,6 +93,23 @@ def kex_auth_secret(root: Key) -> bytes:
     ikm = root.to_bytes() + bytes([root.params.width, len(root)])
     return hkdf_expand(hkdf_extract(b"mhhea-kex psk auth", ikm),
                        b"mhhea-kex auth secret", 32)
+
+
+def kex_config_for_key(root: Key, role: str, modes: tuple, *,
+                       ticket: "ResumptionTicket | None" = None,
+                       tickets: "TicketVault | None" = None) -> "KexConfig":
+    """A :class:`KexConfig` bootstrapped from the pre-shared ``root``.
+
+    The auth secret is :func:`kex_auth_secret` of ``root``, and the
+    vector geometry is the root's.  A ``"responder"`` that allows
+    ``resume`` and is given no ``tickets`` gets a ticket vault sealed
+    under a secret derived from that auth secret.
+    """
+    auth = kex_auth_secret(root)
+    if role == "responder" and tickets is None and "resume" in modes:
+        tickets = TicketVault(hkdf_expand(auth, b"mhhea-kex ticket vault", 32))
+    return KexConfig(auth_secret=auth, modes=modes, params=root.params,
+                     n_pairs=len(root), ticket=ticket, tickets=tickets)
 
 
 @dataclass(frozen=True)

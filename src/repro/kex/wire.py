@@ -127,7 +127,7 @@ def unpack_record(blob: bytes) -> KexRecord:
     """Parse and validate one complete kex wire frame.
 
     Raises :class:`CipherFormatError` so the framing layer's
-    junk-handling (fatal on streams, resync on datagrams) applies to
+    junk-handling (fatal on streams, dropped on datagrams) applies to
     damaged kex frames exactly as it does to damaged hellos.
     """
     blob = bytes(blob)

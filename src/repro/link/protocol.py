@@ -348,10 +348,11 @@ class LinkProtocol:
     def bytes_skipped(self) -> int:
         """Inbound bytes the framing layer discarded (cumulative).
 
-        In datagram mode these are the bytes of unframeable datagrams
-        (truncated, corrupted beyond the magic, or junk); in stream mode
-        with resync they are the junk scanned past.  The scenario
-        harness reconciles this against its injected-fault ledger."""
+        These are the bytes of unframeable datagrams (truncated,
+        corrupted beyond the magic, or junk), so the count moves only in
+        datagram mode: on a stream, junk fails the link instead.  The
+        scenario harness reconciles this against its injected-fault
+        ledger."""
         return self._decoder.bytes_skipped
 
     def _hello(self) -> Hello:
@@ -463,7 +464,7 @@ class LinkProtocol:
         except CipherFormatError:
             frames = []
         if len(frames) != 1 or decoder.pending:
-            decoder.reset(count_skipped=True)
+            decoder.reset()
             self._drop_datagram("unframeable")
             return []
         frame = frames[0]

@@ -5,7 +5,7 @@ already in hand; a TCP peer instead sees arbitrary chunks — half a
 header here, three packets and a bit there.  :class:`FrameDecoder` is
 the streaming replacement: feed it chunks as they arrive and it yields
 complete frames, carrying partial state across calls.  It understands
-the two frame kinds on the wire (DESIGN.md section 6):
+the three frame kinds on the wire (DESIGN.md section 6):
 
 * ``hello`` — the fixed-size handshake frame (:class:`Hello`), magic
   ``b"MHLO"``;
@@ -15,10 +15,10 @@ the two frame kinds on the wire (DESIGN.md section 6):
   (:mod:`repro.kex.wire`), magic ``b"MKX2"``, used only while a
   negotiated handshake runs ahead of the classic hello.
 
-The decoder enforces an oversized-payload ceiling (a corrupted length
-field must not make a receiver buffer gigabytes) and, optionally,
-resynchronises after junk by scanning for the next magic — the classic
-framed-link recovery strategy, with every skipped byte accounted.
+The decoder only delimits.  It enforces an oversized-payload ceiling (a
+corrupted length field must not make a receiver buffer gigabytes) and
+raises on anything it cannot frame; a packet's CRC is checked by the
+session that decrypts it (:class:`repro.net.session.Session`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.stream import (
     HEADER_SIZE,
     MAGIC,
     PacketHeader,
-    verify_packet,
 )
 from repro.kex.wire import (
     KEX_MAGIC,
@@ -139,41 +138,25 @@ class Frame:
             raise CipherFormatError(f"frame is a {self.kind}, not a hello")
         return Hello.unpack(self.raw)
 
-    def header(self) -> PacketHeader:
-        """Parse a ``packet`` frame's header (raises on a ``hello``)."""
-        if self.kind != "packet":
-            raise CipherFormatError(f"frame is a {self.kind}, not a packet")
-        return PacketHeader.unpack(self.raw)
-
 
 class FrameDecoder:
     """Chunk-at-a-time frame extractor for a TCP-style byte stream.
 
-    Parameters
-    ----------
-    max_payload:
-        Reject (or skip, under ``resync``) any packet frame advertising a
-        payload larger than this, before buffering it.
-    resync:
-        With ``False`` (the default, right for trusted transports like a
-        local TCP connection) any unrecognised magic raises
-        :class:`CipherFormatError` immediately.  With ``True`` the
-        decoder scans forward for the next magic instead, counting the
-        discarded bytes in :attr:`bytes_skipped` — the recovery mode for
-        lossy or damaged transports.
-    verify_crc:
-        With ``False`` (the default) framing only *delimits* packet
-        frames — the payload CRC is the decryptor's job, so a payload
-        bit flip still yields one complete (but doomed) frame.  With
-        ``True`` the decoder runs the full packet CRC before emitting: a
-        damaged packet raises (or, under ``resync``, is skipped like
-        junk), so no frame with a bad CRC is ever returned.  Hello
-        frames are always fully CRC-checked.
+    A packet frame advertising a payload above ``max_payload`` bytes is
+    rejected from its header alone, before any of it is buffered.
 
-    A raised framing error is fatal for the stream: frames decoded
-    earlier in the same ``feed`` call are discarded with it, because on
-    a reliable transport junk means the peers have lost framing and no
-    later byte can be trusted.
+    The decoder only delimits.  Junk, an oversized frame or a header
+    that does not parse raises :class:`CipherFormatError`, and the error
+    is fatal for the stream: frames decoded earlier in the same ``feed``
+    call are discarded with it, because on a reliable transport junk
+    means the peers have lost framing and no later byte can be trusted.
+    Hello and kex frames are parsed whole, CRC included, before they are
+    emitted; a packet frame's CRC is the session's to check, so a
+    payload bit flip still yields one complete (doomed) frame.
+
+    A datagram link reuses one decoder and calls :meth:`reset` after a
+    datagram fails to frame; the dropped bytes are counted in
+    :attr:`bytes_skipped`.
 
     **Zero-copy operation and view lifetimes.**  The decoder keeps one
     immutable ``bytes`` buffer and a head offset instead of a mutable
@@ -192,18 +175,11 @@ class FrameDecoder:
     process-pool boundaries).
     """
 
-    #: Bytes of possible magic prefix preserved while resynchronising.
-    _TAIL = 3
-
-    def __init__(self, max_payload: int = MAX_PAYLOAD_DEFAULT,
-                 resync: bool = False, verify_crc: bool = False):
+    def __init__(self, max_payload: int = MAX_PAYLOAD_DEFAULT):
         if max_payload < 1:
             raise ValueError(f"max_payload must be >= 1, got {max_payload}")
         self.max_payload = max_payload
-        self.resync = resync
-        self.verify_crc = verify_crc
         self.bytes_skipped = 0
-        self.frames_decoded = 0
         self._buf: bytes = b""
         self._head = 0
         self._view = memoryview(b"")
@@ -225,39 +201,21 @@ class FrameDecoder:
         self._view = memoryview(self._buf)
         frames: list[Frame] = []
         while True:
-            before = self._head
             frame = self._try_next()
-            if frame is not None:
-                frames.append(frame)
-            elif self._head == before:
-                # Neither a frame nor resync progress: wait for more bytes.
-                break
-        return frames
+            if frame is None:
+                return frames
+            frames.append(frame)
 
-    def finish(self) -> None:
-        """Assert the stream ended on a frame boundary.
-
-        Call when the transport signals EOF; raises
-        :class:`CipherFormatError` if bytes of an incomplete frame remain.
-        """
-        if self.pending:
-            raise CipherFormatError(
-                f"stream ended mid-frame with {self.pending} bytes pending"
-            )
-
-    def reset(self, count_skipped: bool = False) -> None:
-        """Drop any pending bytes and return to the empty state.
+    def reset(self) -> None:
+        """Drop any pending bytes, counting them in :attr:`bytes_skipped`.
 
         Datagram-mode links reuse one decoder across datagrams: after a
         drop decision the leftover bytes of the bad datagram must not
-        bleed into the next one.  With ``count_skipped=True`` the
-        discarded pending bytes are added to :attr:`bytes_skipped`, so
-        drop accounting stays truthful across reuse.  Cumulative
-        counters (:attr:`frames_decoded`, :attr:`bytes_skipped`) are
+        bleed into the next one, and counting them keeps drop accounting
+        truthful across reuse.  :attr:`bytes_skipped` is cumulative and
         never reset.
         """
-        if count_skipped:
-            self.bytes_skipped += self.pending
+        self.bytes_skipped += self.pending
         self._buf = b""
         self._head = 0
         self._view = memoryview(b"")
@@ -265,110 +223,38 @@ class FrameDecoder:
     # -- internals --------------------------------------------------------
 
     def _try_next(self) -> Frame | None:
+        """Cut the next complete frame, or ``None`` until more bytes come."""
         buf, head = self._buf, self._head
-        if len(buf) - head < len(MAGIC):
+        available = len(buf) - head
+        if available < len(MAGIC):
             return None
         if buf.startswith(MAGIC, head):
-            return self._try_packet()
-        if buf.startswith(HELLO_MAGIC, head):
-            return self._try_hello()
-        if buf.startswith(KEX_MAGIC, head):
-            return self._try_kex()
-        if not self.resync:
+            if available < HEADER_SIZE:
+                return None
+            header = PacketHeader.unpack(self._view[head:head + HEADER_SIZE])
+            if header.payload_size > self.max_payload:
+                raise CipherFormatError(
+                    f"packet advertises {header.payload_size}-byte payload, "
+                    f"over the {self.max_payload}-byte limit"
+                )
+            kind, parse = "packet", None
+            size = HEADER_SIZE + header.payload_size
+        elif buf.startswith(HELLO_MAGIC, head):
+            kind, size, parse = "hello", HELLO_SIZE, Hello.unpack
+        elif buf.startswith(KEX_MAGIC, head):
+            if available < KEX_PREFIX_SIZE:
+                return None
+            # Raises on an oversized body, before any of it is buffered.
+            size = kex_frame_size(buf[head:head + KEX_PREFIX_SIZE])
+            kind, parse = "kex", _unpack_kex_record
+        else:
             raise CipherFormatError(
                 f"cannot frame stream: unknown magic {buf[head:head + 4]!r}"
             )
-        self._skip_to_magic()
-        return None
-
-    def _try_packet(self) -> Frame | None:
-        buf, head = self._buf, self._head
-        if len(buf) - head < HEADER_SIZE:
+        if available < size:
             return None
-        header = self._parse(PacketHeader.unpack,
-                             self._view[head:head + HEADER_SIZE])
-        if header is None:
-            return None
-        if header.payload_size > self.max_payload:
-            message = (
-                f"packet advertises {header.payload_size}-byte payload, "
-                f"over the {self.max_payload}-byte limit"
-            )
-            if self.resync:
-                self._discard(1)
-                self._skip_to_magic()
-                return None
-            raise CipherFormatError(message)
-        total = HEADER_SIZE + header.payload_size
-        if len(buf) - head < total:
-            return None
-        if self.verify_crc:
-            if self._parse(verify_packet, self._view[head:head + total]) is None:
-                return None
-        return self._emit("packet", total)
-
-    def _try_hello(self) -> Frame | None:
-        buf, head = self._buf, self._head
-        if len(buf) - head < HELLO_SIZE:
-            return None
-        if self._parse(Hello.unpack, self._view[head:head + HELLO_SIZE]) is None:
-            return None
-        return self._emit("hello", HELLO_SIZE)
-
-    def _try_kex(self) -> Frame | None:
-        buf, head = self._buf, self._head
-        if len(buf) - head < KEX_PREFIX_SIZE:
-            return None
-        # kex_frame_size raises on an oversized body; route that through
-        # the shared junk policy (fatal, or skip under resync).
-        total = self._parse(kex_frame_size, buf[head:head + KEX_PREFIX_SIZE])
-        if total is None:
-            return None
-        if len(buf) - head < total:
-            return None
-        if self._parse(_unpack_kex_record,
-                       self._view[head:head + total]) is None:
-            return None
-        return self._emit("kex", total)
-
-    def _parse(self, parser, blob):
-        """Run ``parser``; under resync, treat failures as junk to skip."""
-        try:
-            return parser(blob)
-        except CipherFormatError:
-            if not self.resync:
-                raise
-            self._discard(1)
-            self._skip_to_magic()
-            return None
-
-    def _emit(self, kind: str, size: int) -> Frame:
-        start = self._head
-        self._head = start + size
-        self.frames_decoded += 1
-        return Frame(kind, self._view[start:start + size])
-
-    def _discard(self, count: int) -> None:
-        self._head += count
-        self.bytes_skipped += count
-
-    def _skip_to_magic(self) -> None:
-        """Drop bytes until a magic (or a possible magic prefix) leads."""
-        buf, head = self._buf, self._head
-        candidates = [position for position in
-                      (buf.find(MAGIC, head), buf.find(HELLO_MAGIC, head),
-                       buf.find(KEX_MAGIC, head))
-                      if position >= 0]
-        if candidates:
-            self._discard(min(candidates) - head)
-            return
-        # No full magic in view: keep a short tail that could be the
-        # start of one split across chunks, drop the rest.
-        keep = 0
-        for length in range(min(self._TAIL, len(buf) - head), 0, -1):
-            tail = buf[len(buf) - length:]
-            if (MAGIC.startswith(tail) or HELLO_MAGIC.startswith(tail)
-                    or KEX_MAGIC.startswith(tail)):
-                keep = length
-                break
-        self._discard(len(buf) - head - keep)
+        raw = self._view[head:head + size]
+        if parse is not None:
+            parse(raw)
+        self._head = head + size
+        return Frame(kind, raw)

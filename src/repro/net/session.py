@@ -240,34 +240,37 @@ class _SendHalf:
         """Sequence number the next encrypt will consume."""
         return self._next_seq
 
-    def _check_payload(self, payload: bytes) -> None:
-        if len(payload) > self._config.max_payload:
+    def _reserve(self, payload: bytes) -> tuple[Key, int]:
+        """Check ``payload`` and consume the next sequence number.
+
+        Ratchets the send key at epoch boundaries (counted in metrics)
+        and returns the key and nonce the packet is encrypted under.
+        The sequence number stays consumed even if encryption then
+        fails: nonces are never reused, failed or not (DESIGN.md §4).
+        """
+        config = self._config
+        if len(payload) > config.max_payload:
             raise SessionError(
                 f"payload of {len(payload)} bytes exceeds the session "
-                f"limit of {self._config.max_payload}"
+                f"limit of {config.max_payload}"
             )
-
-    def _advance_epoch(self, epoch: int) -> None:
-        """Ratchet the send key forward to ``epoch`` (counted in metrics)."""
+        seq = self._next_seq
+        epoch = seq // config.rekey_interval
         if epoch != self._epoch:
             self._key = derive_epoch_key(self._root, self._session_id,
                                          self._label, epoch)
             self._epoch = epoch
             self._metrics.record_rekey("tx")
-
-    def _account(self, payload: bytes, packet: bytes) -> None:
-        self._metrics.record_tx(len(payload), len(packet))
+        nonce = nonce_for_seq(seq, self._root.params.width)
+        self._next_seq = seq + 1
+        return self._key, nonce
 
     def encrypt(self, payload: bytes) -> bytes:
-        self._check_payload(payload)
-        seq = self._next_seq
-        self._advance_epoch(seq // self._config.rekey_interval)
-        nonce = nonce_for_seq(seq, self._root.params.width)
-        packet = encrypt_packet(payload, self._key, nonce=nonce,
+        key, nonce = self._reserve(payload)
+        packet = encrypt_packet(payload, key, nonce=nonce,
                                 algorithm=self._config.algorithm,
                                 engine=self._backend)
-        self._next_seq = seq + 1
-        self._account(payload, packet)
+        self._metrics.record_tx(len(payload), len(packet))
         return packet
 
     async def encrypt_async(self, payload: bytes,
@@ -278,31 +281,26 @@ class _SendHalf:
         await, so several calls may be in flight concurrently — the
         caller's only obligation is to *start* them in send order and
         write the resulting packets in that same order (the link's
-        writer coroutine pipelines exactly this way).  If an offloaded
-        job fails, its sequence number stays consumed: nonces are never
-        reused, failed or not (DESIGN.md §4).
+        writer coroutine pipelines exactly this way).
         """
-        self._check_payload(payload)
         config = self._config
-        seq = self._next_seq
-        self._advance_epoch(seq // config.rekey_interval)
-        key = self._key
-        nonce = nonce_for_seq(seq, self._root.params.width)
-        self._next_seq = seq + 1
-        if pool is not None and len(payload) >= config.parallel_threshold:
-            packet = await pool.run_async(
-                encrypt_packet, payload, key, nonce, config.algorithm,
-                config.engine)
-        else:
-            packet = encrypt_packet(payload, key, nonce=nonce,
-                                    algorithm=config.algorithm,
-                                    engine=self._backend)
-        self._account(payload, packet)
+        if pool is None or len(payload) < config.parallel_threshold:
+            return self.encrypt(payload)
+        key, nonce = self._reserve(payload)
+        packet = await pool.run_async(encrypt_packet, payload, key, nonce,
+                                      config.algorithm, config.engine)
+        self._metrics.record_tx(len(payload), len(packet))
         return packet
 
 
 class _RecvHalf:
-    """Inbound direction: replay window, gap accounting, epoch tracking."""
+    """Inbound direction: replay window, gap accounting, epoch tracking.
+
+    Every inbound packet runs one sequence: :meth:`_admit` (header
+    checks and replay gate), then verification and extraction, then
+    :meth:`_commit`.  Only verification and extraction may move to a
+    worker pool, as one ``decrypt_packet`` job (:meth:`decrypt_async`).
+    """
 
     def __init__(self, root: Key, session_id: bytes, label: bytes,
                  config: SessionConfig, metrics: SessionMetrics):
@@ -374,50 +372,50 @@ class _RecvHalf:
         self._last_seq = seq
         self._metrics.record_rx(len(payload), len(packet), gap=gap)
 
-    def decrypt(self, packet: bytes) -> bytes:
-        return self.decrypt_batch((packet,))[0]
-
     def decrypt_batch(self, packets, accepted=None) -> list[bytes]:
         """Admit, verify, extract and commit each packet in order.
 
-        The hot-path overheads are paid once per batch instead of once
-        per packet: the header is parsed a single time (admission reuses
-        it for verification and extraction) and the engine-op
-        observability update covers the whole batch.
+        Each packet is admitted only after the one before it committed,
+        so a batch leaves exactly the state sequential calls would:
+        commits are per packet, not transactional, and packets before a
+        failure stay accepted.  Pass a list as ``accepted`` to receive
+        ``(payload, seq)`` for each committed packet even when a later
+        one raises — the link protocol uses this to emit events for the
+        accepted prefix of a damaged burst.
+        """
+        return self._receive(((packet, self._admit(packet))
+                              for packet in packets), accepted)
 
-        Commits are per packet, not transactional: packets before a
-        failure stay accepted (their replay-window slots are consumed,
-        exactly as sequential calls would leave them).  Pass a list as
-        ``accepted`` to receive ``(payload, seq)`` for each committed
-        packet even when a later one raises — the link protocol uses
-        this to emit events for the accepted prefix of a damaged burst.
+    def _receive(self, admitted, accepted=None) -> list[bytes]:
+        """Verify, extract and commit each ``(packet, admission)`` pair.
+
+        The header parsed at admission is reused for verification and
+        extraction, and one engine-op observability update covers the
+        whole run.  Structural or CRC damage is counted and re-raised
+        with the replay window untouched, so a valid retransmission of
+        that sequence number is still acceptable.
         """
         backend = self._backend
         registry = _obs.get_registry()
         start = registry.clock() if registry.enabled else 0.0
-        done = 0
         payloads: list[bytes] = []
         try:
-            for packet in packets:
-                seq, header, key = self._admit(packet)
+            for packet, (seq, header, key) in admitted:
                 try:
                     _verify_parsed(packet, header)
                     payload = _extract_verified(packet, header, key, backend)
                 except Exception:
-                    # Structural/CRC damage: count it, leave the replay
-                    # window untouched so a valid retransmission of this
-                    # sequence number is still acceptable.
                     self._metrics.record_crc_failure()
                     raise
                 self._commit(seq, packet, payload, key)
                 payloads.append(payload)
                 if accepted is not None:
                     accepted.append((payload, seq))
-                done += 1
         finally:
-            if done and registry.enabled:
+            if payloads and registry.enabled:
                 registry.counter("repro_engine_ops_total",
-                                 engine=backend.name, op="decrypt").inc(done)
+                                 engine=backend.name,
+                                 op="decrypt").inc(len(payloads))
                 registry.histogram(
                     "repro_engine_op_seconds", engine=backend.name,
                     op="decrypt").observe(registry.clock() - start)
@@ -425,24 +423,22 @@ class _RecvHalf:
 
     async def decrypt_async(self, packet: bytes,
                             pool: EncryptionPool | None) -> bytes:
-        """Decrypt one packet, awaiting the pool for large ones.
+        """Decrypt one packet, extracting on the pool for large ones.
 
-        The replay gate and header checks run synchronously before the
-        await; the plaintext size advertised by the header
-        (``n_bits // 8``) decides offload against
-        ``config.parallel_threshold``.  Awaits on one direction must be
-        serialised by the caller (the link's single reader coroutine
-        does), or replay-window commits could interleave.
+        Admission runs synchronously before the await; the plaintext
+        size advertised by the header (``n_bits // 8``) decides offload
+        against ``config.parallel_threshold``.  Awaits on one direction
+        must be serialised by the caller (the link's single reader
+        coroutine does), or replay-window commits could interleave.
         """
-        seq, header, key = self._admit(packet)
-        offload = (pool is not None
-                   and header.n_bits // 8 >= self._config.parallel_threshold)
+        admission = self._admit(packet)
+        seq, header, key = admission
+        config = self._config
+        if pool is None or header.n_bits // 8 < config.parallel_threshold:
+            return self._receive(((packet, admission),))[0]
         try:
-            if offload:
-                payload = await pool.run_async(
-                    decrypt_packet, packet, key, self._config.engine)
-            else:
-                payload = decrypt_packet(packet, key, engine=self._backend)
+            payload = await pool.run_async(decrypt_packet, packet, key,
+                                           config.engine)
         except Exception:
             self._metrics.record_crc_failure()
             raise
@@ -573,19 +569,18 @@ class Session:
         :class:`~repro.core.errors.CipherFormatError` for structural or
         CRC damage (counted in ``metrics.rx.crc_failures``).
         """
-        return self._recv.decrypt(packet)
+        return self._recv.decrypt_batch((packet,))[0]
 
     def decrypt_batch(self, packets, accepted: list | None = None) -> list[bytes]:
         """Decrypt a run of consecutive inbound packets in one call.
 
         The batch analogue of :meth:`decrypt`, with identical semantics
-        and error contract but amortised per-packet bookkeeping (one
-        header parse per packet instead of two, one observability update
-        per batch) — the link protocol's receive path feeds every
-        consecutive run of ciphertext frames through here.  Packets
-        decrypted before a mid-batch failure remain committed to the
-        replay window, exactly as sequential :meth:`decrypt` calls would
-        leave them; pass a list as ``accepted`` to collect the
-        ``(payload, seq)`` prefix that survived.
+        and error contract but one observability update per batch — the
+        link protocol's receive path feeds every consecutive run of
+        ciphertext frames through here.  Packets decrypted before a
+        mid-batch failure remain committed to the replay window, exactly
+        as sequential :meth:`decrypt` calls would leave them; pass a
+        list as ``accepted`` to collect the ``(payload, seq)`` prefix
+        that survived.
         """
         return self._recv.decrypt_batch(packets, accepted)

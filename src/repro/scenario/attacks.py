@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from repro.core.errors import HandshakeError, KexError, ReproError
 from repro.core.key import Key
-from repro.kex.handshake import Handshake, KexConfig, kex_auth_secret
-from repro.kex.hkdf import hkdf_expand
+from repro.kex.handshake import Handshake, KexConfig, kex_config_for_key
 from repro.kex.tickets import TicketVault
 from repro.kex.wire import pack_record, unpack_record
 from repro.link.memory import LinkPair
@@ -52,17 +51,12 @@ ATTACK_SESSION_ID = b"KEXATTCK"
 
 
 def _client_config(root: Key, *, modes=("ecdh",), ticket=None) -> KexConfig:
-    return KexConfig(auth_secret=kex_auth_secret(root), modes=modes,
-                     params=root.params, n_pairs=len(root), ticket=ticket)
+    return kex_config_for_key(root, "initiator", modes, ticket=ticket)
 
 
 def _server_config(root: Key, *, modes=("ecdh", "resume", "psk"),
                    vault: TicketVault | None = None) -> KexConfig:
-    auth = kex_auth_secret(root)
-    if vault is None and "resume" in modes:
-        vault = TicketVault(hkdf_expand(auth, b"mhhea-kex ticket vault", 32))
-    return KexConfig(auth_secret=auth, modes=modes, params=root.params,
-                     n_pairs=len(root), tickets=vault)
+    return kex_config_for_key(root, "responder", modes, tickets=vault)
 
 
 def _handshake_counts(registry) -> dict:

@@ -155,7 +155,7 @@ class ReferenceReceiver:
         except CipherFormatError:
             frames = []
         if len(frames) != 1 or self.decoder.pending:
-            self.decoder.reset(count_skipped=True)
+            self.decoder.reset()
             self.drops["unframeable"] += 1
             return
         frame = frames[0]
@@ -349,33 +349,41 @@ class FaultyLink:
                 self._deliver(direction, schedule.flush())
 
     def _deliver(self, direction: str, deliveries: list[Delivery]) -> None:
-        _, receiver = self._ends(direction)
-        oracle = self.oracles[direction]
         for delivery in deliveries:
-            record = self.sent[direction][delivery.origin]
-            self.arrivals[direction] += 1
-            if self._codecs is not None:
-                _, rx_codec, oracle_codec = self._codecs[direction]
-                inner = rx_codec.unwrap(delivery.data)
-                mirror = oracle_codec.unwrap(delivery.data)
-                if (inner is None) != (mirror is None):
-                    self.failures.append(
-                        f"{direction}: cover unwrap desync at arrival "
-                        f"{self.arrivals[direction] - 1}"
-                    )
-                if inner is None:
-                    self.cover_drops[direction] += 1
-                    continue
-            else:
-                inner = delivery.data
-                mirror = delivery.data
-            oracle.absorb(mirror, record)
-            for event in receiver.receive_datagram(inner):
-                if isinstance(event, PayloadReceived):
-                    self.delivered[direction].append(
-                        (event.payload, event.seq))
-                elif isinstance(event, ProtocolError):
-                    self.failures.append(f"{direction}: {event.error}")
+            self._arrive(direction, delivery.data,
+                         self.sent[direction][delivery.origin])
+
+    def _arrive(self, direction: str, data: bytes,
+                record: SentDatagram) -> bool:
+        """One datagram reaches ``direction``'s receiver and its oracle.
+
+        The single arrival step for scheduled and injected datagrams
+        alike: cover unwrap on both sides (a desync is a failure), then
+        the oracle's prediction, then the receiver's events.  Returns
+        ``False`` when the cover framing dropped the datagram.
+        """
+        _, receiver = self._ends(direction)
+        self.arrivals[direction] += 1
+        inner = mirror = data
+        if self._codecs is not None:
+            _, rx_codec, oracle_codec = self._codecs[direction]
+            inner = rx_codec.unwrap(data)
+            mirror = oracle_codec.unwrap(data)
+            if (inner is None) != (mirror is None):
+                self.failures.append(
+                    f"{direction}: cover unwrap desync at arrival "
+                    f"{self.arrivals[direction] - 1}"
+                )
+            if inner is None:
+                self.cover_drops[direction] += 1
+                return False
+        self.oracles[direction].absorb(mirror, record)
+        for event in receiver.receive_datagram(inner):
+            if isinstance(event, PayloadReceived):
+                self.delivered[direction].append((event.payload, event.seq))
+            elif isinstance(event, ProtocolError):
+                self.failures.append(f"{direction}: {event.error}")
+        return True
 
     # -- active attacker --------------------------------------------------
 
@@ -434,34 +442,13 @@ class FaultyLink:
         frame = self._forge(direction, kind)
         record = (self.sent[direction][-1] if kind == "replay-data"
                   else SentDatagram(-1, direction, -1, frame, b""))
-        _, receiver = self._ends(direction)
         oracle = self.oracles[direction]
         self.attacks[direction][kind] = \
             self.attacks[direction].get(kind, 0) + 1
-        self.arrivals[direction] += 1
-        if self._codecs is not None:
-            _, rx_codec, oracle_codec = self._codecs[direction]
-            inner = rx_codec.unwrap(frame)
-            mirror = oracle_codec.unwrap(frame)
-            if (inner is None) != (mirror is None):
-                self.failures.append(
-                    f"{direction}: cover unwrap desync on injected "
-                    f"{kind} datagram"
-                )
-            if inner is None:
-                self.cover_drops[direction] += 1
-                return "cover"
-        else:
-            inner = frame
-            mirror = frame
         before = dict(oracle.drops)
         accepted_before = len(oracle.accepted)
-        oracle.absorb(mirror, record)
-        for event in receiver.receive_datagram(inner):
-            if isinstance(event, PayloadReceived):
-                self.delivered[direction].append((event.payload, event.seq))
-            elif isinstance(event, ProtocolError):
-                self.failures.append(f"{direction}: {event.error}")
+        if not self._arrive(direction, frame, record):
+            return "cover"
         if len(oracle.accepted) > accepted_before:
             return "accepted"
         for bucket, count in oracle.drops.items():

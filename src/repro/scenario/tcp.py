@@ -34,9 +34,7 @@ import asyncio
 
 from repro.core.errors import ReproError
 from repro.core.key import Key
-from repro.kex.handshake import KexConfig, kex_auth_secret
-from repro.kex.hkdf import hkdf_expand
-from repro.kex.tickets import TicketVault
+from repro.kex.handshake import KexConfig, kex_config_for_key
 from repro.link.memory import MemoryLinkServer
 from repro.net.client import SecureLinkClient
 from repro.net.server import SecureLinkServer
@@ -50,17 +48,12 @@ MATRIX_MODES = ("psk", "ecdh", "resume")
 
 
 def _client_kex(root: Key, ticket=None) -> KexConfig:
-    return KexConfig(auth_secret=kex_auth_secret(root),
-                     modes=("ecdh", "resume"), params=root.params,
-                     n_pairs=len(root), ticket=ticket)
+    return kex_config_for_key(root, "initiator", ("ecdh", "resume"),
+                              ticket=ticket)
 
 
 def _server_kex(root: Key, *, modes=("ecdh", "resume", "psk")) -> KexConfig:
-    auth = kex_auth_secret(root)
-    return KexConfig(auth_secret=auth, modes=modes, params=root.params,
-                     n_pairs=len(root),
-                     tickets=TicketVault(hkdf_expand(
-                         auth, b"mhhea-kex ticket vault", 32)))
+    return kex_config_for_key(root, "responder", modes)
 
 
 def _summary(client, payloads: list, replies: list) -> dict:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.errors import CipherFormatError
-from repro.core.stream import ALGORITHM_MHHEA, HEADER_SIZE, encrypt_packet
+from repro.core.stream import (
+    ALGORITHM_MHHEA,
+    HEADER_SIZE,
+    PacketHeader,
+    encrypt_packet,
+)
 from repro.net.framing import (
     HELLO_SIZE,
     Frame,
@@ -61,13 +66,11 @@ class TestFrameAccessors:
     def test_kind_mismatch_raises(self, key16):
         packet = encrypt_packet(b"x", key16)
         frame = Frame("packet", packet)
-        assert frame.header().n_vectors > 0
+        assert PacketHeader.unpack(frame.raw).n_vectors > 0
         with pytest.raises(CipherFormatError):
             frame.hello()
         hello_frame = Frame("hello", make_hello().pack())
         assert hello_frame.hello() == make_hello()
-        with pytest.raises(CipherFormatError):
-            hello_frame.header()
 
 
 class TestFrameDecoder:
@@ -77,7 +80,7 @@ class TestFrameDecoder:
         frames = decoder.feed(stream)
         assert [f.raw for f in frames] == packets
         assert all(f.kind == "packet" for f in frames)
-        decoder.finish()
+        assert decoder.pending == 0
 
     def test_byte_at_a_time(self, key16):
         packets, stream = packet_stream(key16, 4)
@@ -104,11 +107,12 @@ class TestFrameDecoder:
         assert frames[0].hello() == make_hello()
 
     def test_truncated_stream_detected_at_eof(self, key16):
+        # The decoder holds the partial frame; LinkProtocol.receive_eof
+        # turns pending bytes at EOF into a protocol error.
         _, stream = packet_stream(key16, 1)
         decoder = FrameDecoder()
-        decoder.feed(stream[:-2])
-        with pytest.raises(CipherFormatError, match="mid-frame"):
-            decoder.finish()
+        assert decoder.feed(stream[:-2]) == []
+        assert decoder.pending == len(stream) - 2
 
     def test_corrupted_header_raises(self, key16):
         _, stream = packet_stream(key16, 1)
@@ -154,48 +158,6 @@ class TestFrameDecoder:
         _, stream = packet_stream(key16, 1)
         with pytest.raises(CipherFormatError, match="magic"):
             FrameDecoder().feed(stream + b"garbage!")
-
-
-class TestResync:
-    def test_skips_leading_junk(self, key16):
-        packets, stream = packet_stream(key16, 2)
-        decoder = FrameDecoder(resync=True)
-        frames = decoder.feed(b"\xde\xad\xbe\xef" + stream)
-        assert [f.raw for f in frames] == packets
-        assert decoder.bytes_skipped == 4
-
-    def test_skips_junk_between_packets(self, key16):
-        packets, _ = packet_stream(key16, 2)
-        decoder = FrameDecoder(resync=True)
-        frames = decoder.feed(packets[0] + b"?!x" + packets[1])
-        assert [f.raw for f in frames] == packets
-        assert decoder.bytes_skipped == 3
-
-    def test_resync_across_chunk_boundaries(self, key16):
-        packets, _ = packet_stream(key16, 2)
-        wire = b"junkjunk" + packets[0] + b"MH" + packets[1]  # "MH" = magic prefix
-        decoder = FrameDecoder(resync=True)
-        frames = []
-        for i in range(0, len(wire), 3):
-            frames.extend(decoder.feed(wire[i:i + 3]))
-        assert [f.raw for f in frames] == packets
-        assert decoder.bytes_skipped == 10
-
-    def test_resync_skips_oversized_packet(self, key16):
-        small = encrypt_packet(b"ok", key16, nonce=5)
-        big = encrypt_packet(b"B" * 64, key16, nonce=6)
-        decoder = FrameDecoder(max_payload=32, resync=True)
-        frames = decoder.feed(big + small)
-        assert [f.raw for f in frames] == [small]
-        assert decoder.bytes_skipped >= 1
-
-    def test_resync_recovers_after_corrupt_header(self, key16):
-        packets, _ = packet_stream(key16, 2)
-        damaged = bytearray(packets[0])
-        damaged[4] = 99  # bad version byte; magic still looks right
-        decoder = FrameDecoder(resync=True)
-        frames = decoder.feed(bytes(damaged) + packets[1])
-        assert [f.raw for f in frames] == [packets[1]]
 
 
 class TestZeroCopy:
@@ -244,33 +206,18 @@ class TestZeroCopy:
         assert bytes(held.raw) == packets[0]
         assert [bytes(f.raw) for f in later] == packets[1:]
 
-    def test_resync_emits_views(self, key16):
-        packets, _ = packet_stream(key16, 2)
-        decoder = FrameDecoder(resync=True)
-        frames = decoder.feed(b"\xde\xad" + packets[0] + b"!?" + packets[1])
-        assert [bytes(f.raw) for f in frames] == packets
-        assert all(isinstance(f.raw, memoryview) for f in frames)
-        assert decoder.bytes_skipped == 4
-
-    def test_reset_drops_pending_without_counting(self, key16):
-        _, stream = packet_stream(key16, 1)
-        decoder = FrameDecoder()
-        decoder.feed(stream[:-3])
-        assert decoder.pending > 0
-        decoder.reset()
-        assert decoder.pending == 0
-        assert decoder.bytes_skipped == 0
-        decoder.finish()  # clean state: EOF is legal again
-
     def test_reset_count_skipped_accounts_pending(self, key16):
         packets, stream = packet_stream(key16, 1)
-        decoder = FrameDecoder(resync=True)
+        decoder = FrameDecoder()
         decoder.feed(stream[:-3])
         dropped = decoder.pending
-        decoder.reset(count_skipped=True)
+        assert dropped > 0
+        decoder.reset()
+        assert decoder.pending == 0
         assert decoder.bytes_skipped == dropped
-        # Cumulative counters survive reset: the next stream adds on.
+        # The count is cumulative: the next stream frames cleanly and
+        # leaves it where it was.
         frames = decoder.feed(stream)
         assert [f.raw for f in frames] == packets
+        assert decoder.pending == 0
         assert decoder.bytes_skipped == dropped
-        assert decoder.frames_decoded == 1

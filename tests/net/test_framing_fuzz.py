@@ -2,12 +2,13 @@
 
 The decoder sits directly on untrusted transport bytes, so its contract
 under damage is the whole point: it may *only* ever raise
-:class:`CipherFormatError` (the documented framing error) or — in resync
-mode — silently skip junk, and with ``verify_crc=True`` it must never
-emit a packet frame whose CRC does not check out.  The corpus applies
-bit flips, truncation, duplication, junk prefixes/infixes and deletions
-to valid hello+packet streams, then feeds the result in randomly sized
-chunks.
+:class:`CipherFormatError` (the documented framing error), and every
+frame it does emit must be well delimited — hello and kex frames parse
+whole, and a packet frame's header parses and advertises exactly the
+frame's length.  The packet CRC is the session's to check, not the
+decoder's.  The corpus applies bit flips, truncation, duplication, junk
+prefixes/infixes and deletions to valid hello+packet streams, then feeds
+the result in randomly sized chunks.
 """
 
 import os
@@ -17,7 +18,13 @@ import pytest
 
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
-from repro.core.stream import encrypt_packet, verify_packet
+from repro.core.stream import (
+    HEADER_SIZE,
+    PacketHeader,
+    encrypt_packet,
+    verify_packet,
+)
+from repro.kex.wire import unpack_record
 from repro.net.framing import FrameDecoder, Hello
 from repro.net.session import key_fingerprint
 
@@ -83,11 +90,14 @@ def _feed_in_chunks(rng: random.Random, decoder: FrameDecoder, data: bytes):
     return frames
 
 
-def _assert_frames_intact(frames) -> None:
-    """Every emitted frame must survive full structural validation."""
+def _assert_frames_delimited(frames) -> None:
+    """Every emitted frame parses as its kind and has its own length."""
     for frame in frames:
         if frame.kind == "packet":
-            verify_packet(frame.raw)  # raises on any bad CRC leak
+            header = PacketHeader.unpack(frame.raw)
+            assert len(frame.raw) == HEADER_SIZE + header.payload_size
+        elif frame.kind == "kex":
+            unpack_record(frame.raw)
         else:
             assert frame.kind == "hello"
             Hello.unpack(frame.raw)
@@ -103,11 +113,11 @@ class TestFrameDecoderFuzz:
         rng = random.Random(f"{SEED}:fuzz:clean")
         for _ in range(40):
             stream, n_frames = _build_stream(rng, fuzz_key)
-            decoder = FrameDecoder(resync=rng.random() < 0.5, verify_crc=True)
+            decoder = FrameDecoder()
             frames = _feed_in_chunks(rng, decoder, stream)
-            decoder.finish()
+            assert decoder.pending == 0
             assert len(frames) == n_frames
-            _assert_frames_intact(frames)
+            _assert_frames_delimited(frames)
             assert decoder.bytes_skipped == 0
 
     def test_strict_mode_only_raises_cipher_format_error(self, fuzz_key):
@@ -115,69 +125,16 @@ class TestFrameDecoderFuzz:
         for _ in range(ROUNDS):
             stream, _ = _build_stream(rng, fuzz_key)
             mutated = _mutate(rng, stream)
-            decoder = FrameDecoder(verify_crc=True)
+            decoder = FrameDecoder()
             try:
                 frames = _feed_in_chunks(rng, decoder, mutated)
-                decoder.finish()
             except Exception as exc:  # noqa: BLE001 - the assertion itself
                 assert isinstance(exc, CipherFormatError), repr(exc)
                 continue
-            _assert_frames_intact(frames)
-
-    def test_resync_mode_never_raises_mid_stream(self, fuzz_key):
-        rng = random.Random(f"{SEED}:fuzz:resync")
-        for _ in range(ROUNDS):
-            stream, _ = _build_stream(rng, fuzz_key)
-            mutated = _mutate(rng, stream)
-            decoder = FrameDecoder(resync=True, verify_crc=True)
-            # Resync swallows damage by skipping; feed must never raise.
-            frames = _feed_in_chunks(rng, decoder, mutated)
-            _assert_frames_intact(frames)
-            # Conservation: every input byte is framed, skipped or pending.
-            framed = sum(len(f.raw) for f in frames)
-            assert framed + decoder.bytes_skipped + decoder.pending == len(mutated)
-
-    def test_resync_recovers_intact_tail_after_payload_corruption(self, fuzz_key):
-        # Damage confined to the first packet's *payload* must never cost
-        # the later ones: the CRC rejects the head and the decoder
-        # re-locks on the next magic.  (A corrupted header *length* field
-        # can legitimately swallow the tail into a phantom payload — the
-        # inherent limit of length-prefixed framing.)
-        rng = random.Random(f"{SEED}:fuzz:tail")
-        for _ in range(60):
-            head = encrypt_packet(rng.randbytes(20), fuzz_key, nonce=1,
-                                  engine="fast")
-            tail = [encrypt_packet(rng.randbytes(20), fuzz_key, nonce=n + 2,
-                                   engine="fast") for n in range(3)]
-            damaged = bytearray(head)
-            damaged[rng.randrange(22, len(damaged))] ^= 0xFF
-            decoder = FrameDecoder(resync=True, verify_crc=True)
-            frames = _feed_in_chunks(rng, decoder, bytes(damaged) + b"".join(tail))
-            raws = [f.raw for f in frames]
-            for packet in tail:
-                assert packet in raws
-
-    def test_payload_bit_flip_never_emits_bad_crc_frame(self, fuzz_key):
-        # The sharpest form of the contract: flip exactly one payload
-        # bit; with verify_crc the frame must be rejected, not emitted.
-        rng = random.Random(f"{SEED}:fuzz:crc")
-        for _ in range(200):
-            packet = encrypt_packet(rng.randbytes(rng.randint(1, 60)),
-                                    fuzz_key, nonce=7, engine="fast")
-            damaged = bytearray(packet)
-            # Flip inside the payload region (after the 22-byte header).
-            position = rng.randrange(22, len(damaged))
-            damaged[position] ^= 1 << rng.randrange(8)
-            strict = FrameDecoder(verify_crc=True)
-            with pytest.raises(CipherFormatError, match="CRC"):
-                strict.feed(bytes(damaged))
-            lenient = FrameDecoder(resync=True, verify_crc=True)
-            frames = lenient.feed(bytes(damaged))
-            assert frames == []
-            assert lenient.bytes_skipped >= 1
+            _assert_frames_delimited(frames)
 
     def test_verify_crc_off_still_delimits(self, fuzz_key):
-        # Documented default: framing only delimits, decrypt owns the CRC.
+        # Framing only delimits; the session owns the packet CRC.
         packet = encrypt_packet(b"payload", fuzz_key, nonce=3)
         damaged = bytearray(packet)
         damaged[-1] ^= 0x01

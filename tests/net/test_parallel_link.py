@@ -146,6 +146,35 @@ class TestAsyncSessionOffload:
 
         assert run(scenario()) == b"once only"
 
+    def test_inline_decrypt_async_parses_the_header_once(self, key16,
+                                                         monkeypatch):
+        """Below the threshold, decrypt_async runs decrypt's sequence:
+        one header parse and one counted engine op per packet."""
+        from repro.core.stream import PacketHeader
+        from repro.obs import core as obs
+
+        packet = Session(key16, "initiator", SESSION_ID).encrypt(b"small")
+        receiver = Session(key16, "responder", SESSION_ID)
+        unpack = PacketHeader.unpack
+        parses = []
+
+        def counted_unpack(cls, blob):
+            parses.append(bytes(blob))
+            return unpack(blob)
+
+        monkeypatch.setattr(PacketHeader, "unpack",
+                            classmethod(counted_unpack))
+        registry = obs.ObsRegistry()
+        previous = obs.set_registry(registry)
+        try:
+            payload = run(receiver.decrypt_async(packet, None))
+        finally:
+            obs.set_registry(previous)
+        assert payload == b"small"
+        assert parses == [packet]
+        counters = registry.snapshot()["counters"]
+        assert counters["repro_engine_ops_total{engine=fast,op=decrypt}"] == 1
+
 
 class TestParallelLink:
     def test_echo_with_parallel_workers_both_ends(self, key16):
