@@ -28,7 +28,7 @@ carry the full system:
   injection over the sans-IO link: replayable fault schedules, traffic
   mixes, and a scenario runner that reconciles every injected fault
   against the protocol's own drop accounting; see docs/scenarios.md;
-* :mod:`repro.obs` — opt-in observability (metrics, spans, structured
+* :mod:`repro.obs` — opt-in observability (metrics, structured
   logs, Prometheus / health endpoints); see docs/observability.md;
 * :mod:`repro.api` — the unified :class:`~repro.api.Codec` facade over
   all of the above, backed by the pluggable engine registry

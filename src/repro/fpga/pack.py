@@ -72,10 +72,12 @@ class Slice:
 
     @property
     def n_luts(self) -> int:
+        """LUTs used in this slice."""
         return sum(1 for c in self.cells if c.lut is not None)
 
     @property
     def n_ffs(self) -> int:
+        """Flip-flops used in this slice."""
         return sum(1 for c in self.cells if c.ff is not None)
 
 
@@ -91,14 +93,17 @@ class PackedDesign:
 
     @property
     def n_slices(self) -> int:
+        """Slices occupied."""
         return len(self.slices)
 
     @property
     def n_luts(self) -> int:
+        """LUTs used across every slice."""
         return sum(s.n_luts for s in self.slices)
 
     @property
     def n_ffs(self) -> int:
+        """Flip-flops used across every slice."""
         return sum(s.n_ffs for s in self.slices)
 
     @property

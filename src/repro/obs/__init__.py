@@ -1,14 +1,15 @@
 """repro.obs — zero-dependency observability for the whole stack.
 
-One opt-in switch (:func:`enable`) lights up metrics, tracing and
-structured logging across every layer of the reproduction:
+One opt-in switch (:func:`enable`) lights up metrics across every
+layer of the reproduction; structured logging is switched separately:
 
 * **Metrics** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   in a process-wide, swappable :class:`ObsRegistry` with an injectable
   clock; rendered as Prometheus text (:meth:`ObsRegistry.render_prometheus`)
-  or a JSON snapshot (:meth:`ObsRegistry.snapshot`).
-* **Tracing** — nested :func:`span` context managers feeding the
-  ``repro_span_seconds`` histogram (:mod:`repro.obs.trace`).
+  or a JSON snapshot (:meth:`ObsRegistry.snapshot`).  Layers record
+  through ``get_registry().counter(...)`` and friends, or let the
+  registry read their own counters when scraped
+  (:meth:`ObsRegistry.collect`).
 * **Logging** — typed JSON-lines events on the ``repro`` logger tree,
   silent by default (:mod:`repro.obs.logs`).
 * **Exposition** — an opt-in asyncio ``/metrics`` + ``/healthz``
@@ -37,18 +38,12 @@ from repro.obs.core import (
     Histogram,
     NullRegistry,
     ObsRegistry,
-    counter,
     disable,
     enable,
-    gauge,
     get_registry,
-    histogram,
-    is_enabled,
     set_registry,
-    time_block,
 )
 from repro.obs.logs import configure_logging, log_event, reset_logging
-from repro.obs.trace import Span, current_span, span
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -58,18 +53,10 @@ __all__ = [
     "ObsRegistry",
     "NullRegistry",
     "MetricsEndpoint",
-    "Span",
-    "counter",
-    "gauge",
-    "histogram",
-    "time_block",
-    "span",
-    "current_span",
     "get_registry",
     "set_registry",
     "enable",
     "disable",
-    "is_enabled",
     "configure_logging",
     "reset_logging",
     "log_event",

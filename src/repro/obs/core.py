@@ -14,7 +14,9 @@ provides the three Prometheus-style instrument kinds —
 monotonic clock for deterministic tests, and renders itself as
 Prometheus text exposition (:meth:`ObsRegistry.render_prometheus`), a
 JSON-able snapshot (:meth:`ObsRegistry.snapshot`) or a human summary
-(:meth:`ObsRegistry.render`).
+(:meth:`ObsRegistry.render`).  Instrumented code records through the
+current registry's accessors (``get_registry().counter(...)``) and
+times a latency as the difference of two ``registry.clock()`` reads.
 
 Facts a layer already counts (session packets, link drops, relay
 sheds) are not mirrored into instruments: the registry reads the
@@ -57,11 +59,6 @@ __all__ = [
     "set_registry",
     "enable",
     "disable",
-    "is_enabled",
-    "counter",
-    "gauge",
-    "histogram",
-    "time_block",
 ]
 
 #: Default histogram buckets (seconds): spans cipher ops (~100 us) up to
@@ -244,33 +241,11 @@ class Histogram:
                 f"count={self._count} sum={self._sum:.6f}>")
 
 
-class _Timer:
-    """Context manager observing its own wall time into a histogram."""
-
-    __slots__ = ("_clock", "_histogram", "_start", "duration")
-
-    def __init__(self, clock: Callable[[], float], histogram: Histogram):
-        self._clock = clock
-        self._histogram = histogram
-        self._start = 0.0
-        #: Elapsed seconds, set on exit.
-        self.duration: float | None = None
-
-    def __enter__(self) -> "_Timer":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.duration = self._clock() - self._start
-        self._histogram.observe(self.duration)
-
-
 class _NullInstrument:
-    """Shared do-nothing stand-in for every instrument kind and timer.
+    """Shared do-nothing stand-in for every instrument kind.
 
     Returned by :class:`NullRegistry` accessors so disabled-mode call
-    sites execute one empty method and nothing else.  Also usable as a
-    context manager (for ``time_block``/``span`` call sites).
+    sites execute one empty method and nothing else.
     """
 
     kind = "null"
@@ -281,7 +256,6 @@ class _NullInstrument:
     sum = 0.0
     buckets = ()
     bucket_counts = ()
-    duration = 0.0
 
     def inc(self, amount=1):
         """No-op."""
@@ -298,12 +272,6 @@ class _NullInstrument:
     def quantile(self, q):
         """Always 0.0."""
         return 0.0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
 
     def __repr__(self) -> str:
         return "<null instrument>"
@@ -325,10 +293,9 @@ class ObsRegistry:
     by its first access; re-requesting it as a different kind raises
     :class:`ValueError` (the classic silent-aggregation bug).
 
-    ``clock`` is the monotonic time source used by
-    :meth:`time_block` / :meth:`span` timers and by every instrumented
-    layer that reads ``registry.clock`` — inject a fake for
-    deterministic latency tests.
+    ``clock`` is the monotonic time source every instrumented layer
+    reads (``registry.clock()``) before observing a latency — inject a
+    fake for deterministic latency tests.
     """
 
     #: Real registries record; the :class:`NullRegistry` overrides this.
@@ -392,16 +359,6 @@ class ObsRegistry:
         """The :class:`Histogram` for ``(name, labels)``; ``buckets`` only
         apply on first creation of the series."""
         return self._get("histogram", name, labels, help, buckets=buckets)
-
-    def time_block(self, name: str, **labels) -> "_Timer":
-        """A context manager timing its body into histogram ``name``."""
-        return _Timer(self.clock, self.histogram(name, **labels))
-
-    def span(self, name: str):
-        """A tracing :class:`~repro.obs.trace.Span` bound to this registry."""
-        from repro.obs.trace import Span
-
-        return Span(name, registry=self)
 
     def collect(self, owner, samples: Callable,
                 help: dict | None = None) -> None:
@@ -568,14 +525,6 @@ class NullRegistry:
         """The shared no-op instrument."""
         return NULL_INSTRUMENT
 
-    def time_block(self, name: str, **labels):
-        """The shared no-op context manager (no clock reads)."""
-        return NULL_INSTRUMENT
-
-    def span(self, name: str):
-        """The shared no-op context manager (no clock reads)."""
-        return NULL_INSTRUMENT
-
     def collect(self, owner, samples: Callable,
                 help: dict | None = None) -> None:
         """No-op: a disabled registry exports nothing."""
@@ -664,27 +613,3 @@ def disable():
     """Turn observability off (restore the no-op registry); returns it."""
     return set_registry(None)
 
-
-def is_enabled() -> bool:
-    """Whether the current process-wide registry records anything."""
-    return _registry.enabled
-
-
-def counter(name: str, **labels):
-    """Current-registry :meth:`ObsRegistry.counter` (module convenience)."""
-    return _registry.counter(name, **labels)
-
-
-def gauge(name: str, **labels):
-    """Current-registry :meth:`ObsRegistry.gauge` (module convenience)."""
-    return _registry.gauge(name, **labels)
-
-
-def histogram(name: str, **labels):
-    """Current-registry :meth:`ObsRegistry.histogram` (module convenience)."""
-    return _registry.histogram(name, **labels)
-
-
-def time_block(name: str, **labels):
-    """Current-registry :meth:`ObsRegistry.time_block` (module convenience)."""
-    return _registry.time_block(name, **labels)

@@ -29,7 +29,7 @@ the cipher work of one packet.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
@@ -59,25 +59,21 @@ class EncryptionPool:
     as a context manager.
     """
 
-    def __init__(self, workers: int, *, mp_context=None):
+    def __init__(self, workers: int):
         """Start a pool of ``workers`` processes.
 
-        ``mp_context`` is a :mod:`multiprocessing` context for tests
-        that need a specific start method.  Raises :class:`ValueError`
-        for ``workers < 1``.
+        Raises :class:`ValueError` for ``workers < 1``.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._workers = workers
-        self._mp_context = mp_context
         self._lock = threading.Lock()
         self._restarts = 0
         self._executor: ProcessPoolExecutor | None = None
         self._start_executor()
 
     def _start_executor(self) -> None:
-        self._executor = ProcessPoolExecutor(max_workers=self._workers,
-                                             mp_context=self._mp_context)
+        self._executor = ProcessPoolExecutor(max_workers=self._workers)
 
     @property
     def workers(self) -> int:
@@ -95,10 +91,6 @@ class EncryptionPool:
         if self._executor is None:
             raise RuntimeError("pool is closed")
         return self._executor
-
-    def submit(self, fn, /, *args) -> Future:
-        """Submit one picklable job; thin passthrough to the executor."""
-        return self.executor.submit(fn, *args)
 
     def restart(self, broken: ProcessPoolExecutor | None = None) -> None:
         """Replace a (possibly broken) executor with a fresh pool.

@@ -46,6 +46,7 @@ class TimingAttackReport:
 
     @property
     def n_pairs(self) -> int:
+        """Key pairs attacked (one span each)."""
         return len(self.true_spans)
 
     @property

@@ -26,7 +26,7 @@ from repro.util.bits import (
     rotl,
     rotr,
 )
-from repro.util.lfsr import GaloisLfsr, Lfsr, PRIMITIVE_TAPS, max_period
+from repro.util.lfsr import Lfsr, PRIMITIVE_TAPS, max_period
 
 __all__ = [
     "bits_to_bytes",
@@ -40,7 +40,6 @@ __all__ = [
     "popcount",
     "rotl",
     "rotr",
-    "GaloisLfsr",
     "Lfsr",
     "PRIMITIVE_TAPS",
     "max_period",

@@ -3,10 +3,10 @@
 The paper's random-number-generator module is "designed using Linear
 Feedback Shift Register (LFSR) with primitive feedback polynomial to
 ensure a maximal-length sequence" (section 3.6).  This module provides the
-software golden model: a Fibonacci LFSR, a Galois variant, a table of
-primitive taps for the widths the parametric architecture supports, and a
-leap-forward matrix stepper that advances the register several bits per
-call the way the hardware produces a whole 16-bit vector per key pair.
+software golden model: a Fibonacci LFSR, a table of primitive taps for the
+widths the parametric architecture supports, and a leap-forward matrix
+stepper that advances the register a whole word per call the way the
+hardware produces a whole 16-bit vector per key pair.
 
 All registers shift toward the LSB and feed back into the MSB, so after
 ``width`` single-bit steps the register content is a completely fresh
@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from repro.util.bits import mask, parity
 
-__all__ = ["PRIMITIVE_TAPS", "Lfsr", "GaloisLfsr", "LeapLfsr", "max_period",
-           "taps_to_mask", "fibonacci_mask"]
+__all__ = ["PRIMITIVE_TAPS", "Lfsr", "LeapLfsr", "max_period",
+           "fibonacci_mask"]
 
 # Primitive polynomial taps (1-indexed bit positions, MSB first) for every
 # register width the parametric hiding vector supports.  Source: standard
@@ -50,16 +50,6 @@ PRIMITIVE_TAPS: dict[int, tuple[int, ...]] = {
     32: (32, 22, 2, 1),
     64: (64, 63, 61, 60),
 }
-
-
-def taps_to_mask(taps: tuple[int, ...], width: int) -> int:
-    """Galois toggle mask: polynomial term ``x^t`` maps to bit ``t - 1``."""
-    feedback = 0
-    for tap in taps:
-        if not 1 <= tap <= width:
-            raise ValueError(f"tap {tap} out of range for width {width}")
-        feedback |= 1 << (tap - 1)
-    return feedback
 
 
 def fibonacci_mask(taps: tuple[int, ...], width: int) -> int:
@@ -189,7 +179,7 @@ def _leap_tables(width: int, taps: tuple[int, ...]
 class LeapLfsr:
     """Leap-forward stepper emitting exactly :meth:`Lfsr.next_word`'s sequence.
 
-    This is the batched hiding-vector generator of the fast engine
+    This is the hiding-vector generator of the fast engine
     (:mod:`repro.core.fastpath`): instead of ``width`` single-bit steps
     per vector it applies the precomputed ``width``-step transition
     matrix as a handful of table lookups (see :func:`_leap_tables`).
@@ -228,63 +218,6 @@ class LeapLfsr:
         self.state = word
         return word
 
-    def words(self, count: int) -> list[int]:
-        """The next ``count`` words as a list (batch form of :meth:`next_word`)."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        state = self.state
-        chunks = self._chunks
-        out = []
-        append = out.append
-        for _ in range(count):
-            word = 0
-            for shift, table in chunks:
-                word ^= table[(state >> shift) & (len(table) - 1)]
-            state = word
-            append(word)
-        self.state = state
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LeapLfsr(width={self.width}, state={self.state:#06x})"
 
-
-class GaloisLfsr:
-    """Galois-configuration LFSR producing the same maximal sequence class.
-
-    Included because the RTL offers both configurations (one XOR gate per
-    tap instead of a tap-wide parity tree); tests verify both run at the
-    full ``2**width - 1`` period for the default polynomials.
-    """
-
-    def __init__(self, width: int = 16, seed: int = 0xACE1, taps: tuple[int, ...] | None = None):
-        if taps is None:
-            if width not in PRIMITIVE_TAPS:
-                raise ValueError(
-                    f"no default primitive taps for width {width}; pass taps explicitly"
-                )
-            taps = PRIMITIVE_TAPS[width]
-        self.width = width
-        self.taps = tuple(sorted(taps, reverse=True))
-        self._feedback_mask = taps_to_mask(taps, width)
-        seed &= mask(width)
-        if seed == 0:
-            raise ValueError("seed must be non-zero for an LFSR")
-        self.state = seed
-
-    def step(self) -> int:
-        """Advance one bit; return the bit shifted out of the LSB."""
-        out = self.state & 1
-        self.state >>= 1
-        if out:
-            self.state ^= self._feedback_mask
-        return out
-
-    def next_word(self) -> int:
-        """Advance ``width`` bits and return the fresh register content."""
-        for _ in range(self.width):
-            self.step()
-        return self.state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GaloisLfsr(width={self.width}, state={self.state:#06x})"

@@ -21,7 +21,7 @@ def random_bytes(seed: int, count: int) -> bytes:
     """``count`` reproducible pseudo-random bytes for workload payloads."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return bytes(make_rng(seed).getrandbits(8) for _ in range(count))
+    return make_rng(seed).randbytes(count)
 
 
 def random_word(seed: int, width: int) -> int:

@@ -108,18 +108,18 @@ class TestRegistry:
             registry.counter("repro_ok_total", **{"bad-label": "x"})
 
     def test_time_block_uses_the_injected_clock(self, registry, clock):
-        with registry.time_block("repro_op_seconds") as timer:
-            clock.advance(0.25)
-        assert timer.duration == pytest.approx(0.25)
+        start = registry.clock()
+        assert start == clock.now
+        clock.advance(0.25)
+        registry.histogram("repro_op_seconds").observe(registry.clock() - start)
         histogram = registry.histogram("repro_op_seconds")
         assert histogram.count == 1
         assert histogram.sum == pytest.approx(0.25)
 
-    def test_snapshot_keys_and_histogram_stats(self, registry, clock):
+    def test_snapshot_keys_and_histogram_stats(self, registry):
         registry.counter("repro_ops_total", op="encrypt").inc(3)
         registry.gauge("repro_active").set(2)
-        with registry.time_block("repro_op_seconds"):
-            clock.advance(0.02)
+        registry.histogram("repro_op_seconds").observe(0.02)
         snap = registry.snapshot()
         assert snap["enabled"] is True
         assert snap["counters"] == {"repro_ops_total{op=encrypt}": 3}
@@ -158,13 +158,13 @@ class TestRegistry:
 class TestGlobalRegistry:
     def test_enable_disable_round_trip(self):
         obs.set_registry(None)
-        assert not obs.is_enabled()
+        assert not obs.get_registry().enabled
         live = obs.enable()
-        assert obs.is_enabled()
+        assert obs.get_registry().enabled
         assert obs.get_registry() is live
         assert obs.enable() is live  # idempotent without an argument
         obs.disable()
-        assert not obs.is_enabled()
+        assert not obs.get_registry().enabled
         assert obs.get_registry().counter("repro_x_total") is NULL_INSTRUMENT
 
     def test_set_registry_returns_previous(self):
@@ -176,12 +176,3 @@ class TestGlobalRegistry:
             assert obs.get_registry() is second
         finally:
             obs.set_registry(previous if previous.enabled else None)
-
-    def test_module_conveniences_hit_the_current_registry(self, registry):
-        obs.counter("repro_mod_total").inc(2)
-        obs.gauge("repro_mod_level").set(1)
-        obs.histogram("repro_mod_seconds").observe(0.5)
-        snap = registry.snapshot()
-        assert snap["counters"]["repro_mod_total"] == 2
-        assert snap["gauges"]["repro_mod_level"] == 1
-        assert snap["histograms"]["repro_mod_seconds"]["count"] == 1

@@ -44,7 +44,7 @@ def _crash_unless_parent(parent_pid: int) -> str:
 
 def _kill_pool(pool: EncryptionPool) -> None:
     """Deterministically break the live pool by crashing a worker."""
-    future = pool.submit(os._exit, 1)
+    future = pool.executor.submit(os._exit, 1)
     with pytest.raises(Exception):
         future.result()
 

@@ -327,13 +327,13 @@ class TestObservabilityCli:
         try:
             payload = tmp_path / "payload.bin"
             payload.write_bytes(b"observed payload " * 32)
-            assert not obs.is_enabled()
+            assert not obs.get_registry().enabled
             rc = main(["send", "--key", key_hex, "--port", str(server.port),
                        "--chunk", "128", "--metrics-port", "0",
                        str(payload)])
             assert rc == 0
             # The embedded call restored the disabled default afterwards.
-            assert not obs.is_enabled()
+            assert not obs.get_registry().enabled
             out = capsys.readouterr().out
             assert "metrics on http://127.0.0.1:" in out
             assert "byte-exact" in out

@@ -20,6 +20,9 @@ class TestRandomBytes:
     def test_deterministic(self):
         assert random_bytes(9, 16) == random_bytes(9, 16)
 
+    def test_bytes_vary_within_one_call(self):
+        assert len(set(random_bytes(1, 256))) > 100
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             random_bytes(1, -1)

@@ -2,8 +2,8 @@
 
 Two checks keep the prose and the code from drifting apart:
 
-1. **Docstring coverage** — every public entry point of the audited
-   modules (everything in ``__all__``, plus public methods and
+1. **Docstring coverage** — every public entry point of every
+   ``repro`` module (everything in ``__all__``, plus public methods and
    properties of public classes) must carry a non-empty docstring.
    "Public API" here means: if it is exported, it is documented.
 
@@ -30,6 +30,7 @@ import doctest
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 import traceback
@@ -37,60 +38,14 @@ import traceback
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-#: Modules whose public surface must be fully docstring-covered.
-AUDITED_MODULES = [
-    "repro",
-    "repro.api",
-    "repro.core",
-    "repro.core.stream",
-    "repro.core.fastpath",
-    "repro.core.engine",
-    "repro.core.engines",
-    "repro.core.cipher",
-    "repro.core.errors",
-    "repro.core.key",
-    "repro.link",
-    "repro.link.protocol",
-    "repro.link.events",
-    "repro.link.memory",
-    "repro.link.sync",
-    "repro.link.udp",
-    "repro.net",
-    "repro.net.session",
-    "repro.net.framing",
-    "repro.net.metrics",
-    "repro.obs",
-    "repro.obs.core",
-    "repro.obs.trace",
-    "repro.obs.logs",
-    "repro.obs.http",
-    "repro.parallel",
-    "repro.parallel.pool",
-    "repro.parallel.pipeline",
-    "repro.scenario",
-    "repro.scenario.faults",
-    "repro.scenario.traffic",
-    "repro.scenario.cover",
-    "repro.scenario.runner",
-    "repro.scenario.attacks",
-    "repro.scenario.tcp",
-    "repro.kex",
-    "repro.kex.x25519",
-    "repro.kex.hkdf",
-    "repro.kex.wire",
-    "repro.kex.handshake",
-    "repro.kex.tickets",
-    "repro.kex.keyring",
-    "repro.relay",
-    "repro.relay.admission",
-    "repro.relay.config",
-    "repro.relay.core",
-    "repro.relay.events",
-    "repro.relay.harness",
-    "repro.relay.router",
-    "repro.relay.server",
-    "repro.scenario.relay",
-]
+def audited_modules() -> list[str]:
+    """Every module of the ``repro`` package, found by walking it."""
+    import repro
+
+    return ["repro"] + sorted(
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    )
+
 
 #: Markdown files whose ``python`` code blocks must execute.
 DOC_FILES = ["README.md", "docs/api.md", "docs/core.md", "docs/kex.md",
@@ -108,7 +63,7 @@ def _has_doc(obj) -> bool:
 def check_docstrings() -> list[str]:
     """Return one problem string per missing/empty public docstring."""
     problems: list[str] = []
-    for module_name in AUDITED_MODULES:
+    for module_name in audited_modules():
         module = importlib.import_module(module_name)
         if not _has_doc(module):
             problems.append(f"{module_name}: module docstring missing")
