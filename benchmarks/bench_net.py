@@ -156,8 +156,11 @@ def test_link_goodput_gate(bench_key, emit):
             encrypt_packet(payload, bench_key, nonce=nonce, engine="fast")
         return len(payload) * 8 / (time.perf_counter() - start) / 1e6
 
-    goodput = max(linkpair_echo() for _ in range(2))  # best-of, warm second
-    core = max(core_encrypt() for _ in range(2))
+    # Each round takes one echo and one encrypt back to back, so both
+    # bests come from the same host phases; best of 5 rides out a slow one.
+    rounds = [(linkpair_echo(), core_encrypt()) for _ in range(5)]
+    goodput = max(echo for echo, _ in rounds)
+    core = max(encrypt for _, encrypt in rounds)
     ratio = goodput / core
     emit(
         "net_link_goodput_gate",

@@ -15,26 +15,4 @@ Appendix A:
 * :mod:`repro.analysis.workloads` — deterministic message generators.
 """
 
-from repro.analysis.density import ComparisonRow, functional_density, render_chart
-from repro.analysis.literature import LITERATURE_TABLE1, LiteratureEntry
-from repro.analysis.table1 import Table1, build_table1
-from repro.analysis.throughput import (
-    Accounting,
-    expected_scrambled_window,
-    measured_bits_per_cycle,
-    throughput_mbps,
-)
-
-__all__ = [
-    "ComparisonRow",
-    "functional_density",
-    "render_chart",
-    "LITERATURE_TABLE1",
-    "LiteratureEntry",
-    "Table1",
-    "build_table1",
-    "Accounting",
-    "expected_scrambled_window",
-    "measured_bits_per_cycle",
-    "throughput_mbps",
-]
+__all__ = []

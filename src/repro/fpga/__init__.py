@@ -1,8 +1,7 @@
 """A self-contained FPGA implementation flow.
 
-Our stand-in for the Xilinx Foundation back end the paper used
-(DESIGN.md section 4).  Each stage implements the standard published
-algorithm for its problem:
+Our stand-in for the Xilinx Foundation back end the paper used.  Each
+stage implements the standard published algorithm for its problem:
 
 * :mod:`repro.fpga.device` — device models (Spartan-II xc2s100 and
   friends) with geometry, capacity and a delay model;
@@ -22,31 +21,4 @@ algorithm for its problem:
 * :mod:`repro.fpga.flow` — the end-to-end driver.
 """
 
-from repro.fpga.device import SPARTAN2_XC2S100, XC4005XL, FpgaDevice
-from repro.fpga.flow import FlowResult, run_flow
-from repro.fpga.pack import PackedDesign, pack_design
-from repro.fpga.place import Placement, place_design
-from repro.fpga.reports import DesignSummary, TimingSummary
-from repro.fpga.route import RoutingResult, route_design
-from repro.fpga.techmap import LutMapping, flowmap
-from repro.fpga.timing import TimingAnalysis, analyse_timing
-
-__all__ = [
-    "SPARTAN2_XC2S100",
-    "XC4005XL",
-    "FpgaDevice",
-    "FlowResult",
-    "run_flow",
-    "PackedDesign",
-    "pack_design",
-    "Placement",
-    "place_design",
-    "DesignSummary",
-    "TimingSummary",
-    "RoutingResult",
-    "route_design",
-    "LutMapping",
-    "flowmap",
-    "TimingAnalysis",
-    "analyse_timing",
-]
+__all__ = []

@@ -90,17 +90,6 @@ class LutMapping:
         """Maximum LUT depth (FlowMap label) over all mapped outputs."""
         return max((lut.label for lut in self.luts), default=0)
 
-    def lut_for(self, sig: Signal) -> Lut | None:
-        """The LUT producing ``sig``, or None if it is a source/const."""
-        return self._by_output.get(sig.index)
-
-    def __post_init__(self) -> None:
-        self._by_output: dict[int, Lut] = {}
-
-    def _register(self, lut: Lut) -> None:
-        self.luts.append(lut)
-        self._by_output[lut.output.index] = lut
-
     def evaluate(self, source_values: dict[int, int]) -> dict[int, int]:
         """Evaluate every LUT given source-signal values.
 
@@ -403,7 +392,7 @@ def _cover(
         gate = sig.driver
         cut = cuts[sig.index]
         truth = _truth_table(gate, cut)
-        mapping._register(
+        mapping.luts.append(
             Lut(
                 output=sig,
                 inputs=list(cut),

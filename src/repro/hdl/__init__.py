@@ -2,7 +2,7 @@
 
 The paper's micro-architecture was entered in Xilinx Foundation and
 simulated with its logic simulator; this package is our stand-in for that
-toolchain (DESIGN.md section 4).  It provides:
+toolchain.  It provides:
 
 * :mod:`repro.hdl.signal` — single-bit nets and multi-bit buses;
 * :mod:`repro.hdl.gates` — the primitive cell library (fanin-bounded
@@ -16,26 +16,4 @@ toolchain (DESIGN.md section 4).  It provides:
   writers for the simulation figures.
 """
 
-from repro.hdl.circuit import Circuit
-from repro.hdl.gates import Dff, Gate, Tbuf
-from repro.hdl.netlist import NetlistStats, netlist_stats, netlist_text
-from repro.hdl.signal import Bus, Signal
-from repro.hdl.sim import Simulator
-from repro.hdl.vcd import VcdWriter
-from repro.hdl.wave import WaveTrace, render_wave
-
-__all__ = [
-    "Circuit",
-    "Dff",
-    "Gate",
-    "Tbuf",
-    "NetlistStats",
-    "netlist_stats",
-    "netlist_text",
-    "Bus",
-    "Signal",
-    "Simulator",
-    "VcdWriter",
-    "WaveTrace",
-    "render_wave",
-]
+__all__ = []

@@ -162,10 +162,6 @@ class Circuit:
     # word-level combinational helpers
     # ------------------------------------------------------------------
 
-    def not_bus(self, a: Bus, name: str = "notb") -> Bus:
-        """Bitwise NOT of a bus."""
-        return Bus(name, [self.not_(s, name=f"{name}[{i}]") for i, s in enumerate(a)])
-
     def xor_bus(self, a: Bus, b: Bus, name: str = "xorb") -> Bus:
         """Bitwise XOR of two equal-width buses."""
         self._check_widths(a, b)
@@ -180,14 +176,6 @@ class Circuit:
         return Bus(
             name,
             [self.and_(x, y, name=f"{name}[{i}]") for i, (x, y) in enumerate(zip(a, b))],
-        )
-
-    def or_bus(self, a: Bus, b: Bus, name: str = "orb") -> Bus:
-        """Bitwise OR of two equal-width buses."""
-        self._check_widths(a, b)
-        return Bus(
-            name,
-            [self.or_(x, y, name=f"{name}[{i}]") for i, (x, y) in enumerate(zip(a, b))],
         )
 
     def mux_bus(self, sel: Signal, a: Bus, b: Bus, name: str = "muxb") -> Bus:

@@ -403,13 +403,6 @@ class RelayCore:
             link.last_activity = self._clock()
         return data
 
-    def pending_output(self, link_id: int) -> bool:
-        """True while a link has queued egress or undrained wire bytes."""
-        link = self._links.get(link_id)
-        if link is None:
-            return False
-        return bool(link.egress) or link.proto.bytes_to_send > 0
-
     def close_link(self, link_id: int, reason: str = "local-close") -> list:
         """Retire a link locally (no shed accounting); idempotent."""
         link = self._links.get(link_id)

@@ -61,10 +61,6 @@ class ChannelRouter:
         """Current membership of one ``(tenant, channel)`` group."""
         return len(self._groups.get((bytes(tenant_id), bytes(channel)), ()))
 
-    def membership(self, link_id: int) -> "tuple | None":
-        """The ``(tenant, channel)`` a link joined, or ``None``."""
-        return self._membership.get(link_id)
-
     def __len__(self) -> int:
         return len(self._membership)
 

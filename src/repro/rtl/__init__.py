@@ -11,26 +11,18 @@
   - :class:`repro.rtl.yaea_like.YaeaLikeCycleModel` — the YAEA stand-in
     stream design used for the Table 1 comparison pipeline.
 
-* **Structural gate-level builds** (:mod:`repro.rtl.structure`) — the
-  same designs elaborated into :class:`repro.hdl.circuit.Circuit`
-  netlists of LUT-mappable gates, flip-flops and tristate buffers, which
-  are what the FPGA CAD flow implements and what the gate-level
-  equivalence tests simulate.
+* **Structural gate-level builds** — the same designs elaborated into
+  :class:`repro.hdl.circuit.Circuit` netlists of LUT-mappable gates,
+  flip-flops and tristate buffers, which are what the FPGA CAD flow
+  implements and what the gate-level equivalence tests simulate:
+  :mod:`repro.rtl.top` (improved), :mod:`repro.rtl.serial_top` (serial)
+  and :mod:`repro.rtl.yaea_top` (YAEA stand-in).
 
-All models share the FSM vocabulary of :mod:`repro.rtl.states`, which
-mirrors the six states of the paper's Figure 1.
+:mod:`repro.rtl.states` holds the six states of the paper's Figure 1.
+The serial design replaces CIRC/ENCRYPT with its own ``SETUP``/``SHIFT``
+(``SERIAL_STATES`` in :mod:`repro.rtl.serial_top`), and the YAEA build
+has its own ``INIT``/``LKEY``/``ENCRYPT``/``DONE`` machine
+(``YAEA_STATES`` in :mod:`repro.rtl.yaea_top`).
 """
 
-from repro.rtl.cycle_model import CycleModelRun, MhheaCycleModel
-from repro.rtl.serial_model import HheaSerialCycleModel
-from repro.rtl.states import FSM_STATES, fsm_dot
-from repro.rtl.yaea_like import YaeaLikeCycleModel
-
-__all__ = [
-    "CycleModelRun",
-    "MhheaCycleModel",
-    "HheaSerialCycleModel",
-    "FSM_STATES",
-    "fsm_dot",
-    "YaeaLikeCycleModel",
-]
+__all__ = []

@@ -1,10 +1,9 @@
 """YAEA stand-in: a word-wide LFSR keystream micro-architecture.
 
 The paper's Table 1 compares against "YAEA" [SAEB02], whose specification
-was never published openly.  Per the substitution policy (DESIGN.md
-section 4) we build the closest open equivalent that exercises the same
-comparison pipeline: a stream design that XORs one full plaintext word
-with a keystream word every cycle.  Its relevant properties match what
+was never published openly, so we build the closest open equivalent that
+exercises the same comparison pipeline: a stream design that XORs one
+full plaintext word with a keystream word every cycle.  Its relevant properties match what
 Table 1 implies about YAEA — very high throughput (a full 16-bit word per
 cycle, versus MHHEA's at-most-8 embedded bits per two cycles) from a
 small datapath, hence the highest functional density in the chart.

@@ -2,10 +2,10 @@
 
 The measured counterpart of Table 1's YAEA row (see
 :mod:`repro.rtl.yaea_like` for the substitution rationale): a leap-forward
-LFSR keystream XORed with one full plaintext word per clock cycle.  Three
+LFSR keystream XORed with one full plaintext word per clock cycle.  Four
 states suffice — ``INIT`` (wait for go), ``LKEY`` (one cycle of keystream
 warm-up, mirroring the cycle model), ``ENCRYPT`` (one word per cycle until
-``eof``).
+``eof``), ``DONE`` (hold until the next go).
 """
 
 from __future__ import annotations

@@ -18,20 +18,4 @@ has an executable counterpart here:
   hiding cipher has no block-cipher-style avalanche).
 """
 
-from repro.security.avalanche import avalanche_profile
-from repro.security.chosen_plaintext import (
-    ChosenPlaintextReport,
-    constant_chosen_plaintext_attack,
-)
-from repro.security.randomness import RandomnessReport, test_bits
-from repro.security.timing_attack import TimingAttackReport, timing_attack
-
-__all__ = [
-    "avalanche_profile",
-    "ChosenPlaintextReport",
-    "constant_chosen_plaintext_attack",
-    "RandomnessReport",
-    "test_bits",
-    "TimingAttackReport",
-    "timing_attack",
-]
+__all__ = []

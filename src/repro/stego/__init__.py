@@ -12,22 +12,4 @@ shuffled-type steganography".
   on top of the vector stream.
 """
 
-from repro.stego.cover import (
-    CoverVectorSource,
-    StegoObject,
-    cover_capacity_bits,
-    embed_in_cover,
-    extract_from_cover,
-    mean_distortion,
-)
-from repro.stego.shuffler import Shuffler
-
-__all__ = [
-    "CoverVectorSource",
-    "StegoObject",
-    "cover_capacity_bits",
-    "embed_in_cover",
-    "extract_from_cover",
-    "mean_distortion",
-    "Shuffler",
-]
+__all__ = []

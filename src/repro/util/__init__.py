@@ -9,38 +9,12 @@
     Software linear feedback shift registers used both as the reference
     hiding-vector generator and as the golden model for the RTL LFSR.
 
+``repro.util.crc``
+    The packet container's CRC-16/CCITT-FALSE and its bit-serial golden
+    model.
+
 ``repro.util.rng``
     Deterministic pseudo-random helpers for workloads and tests.
 """
 
-from repro.util.bits import (
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
-    extract_field,
-    insert_field,
-    int_to_bits,
-    mask,
-    parity,
-    popcount,
-    rotl,
-    rotr,
-)
-from repro.util.lfsr import Lfsr, PRIMITIVE_TAPS, max_period
-
-__all__ = [
-    "bits_to_bytes",
-    "bits_to_int",
-    "bytes_to_bits",
-    "extract_field",
-    "insert_field",
-    "int_to_bits",
-    "mask",
-    "parity",
-    "popcount",
-    "rotl",
-    "rotr",
-    "Lfsr",
-    "PRIMITIVE_TAPS",
-    "max_period",
-]
+__all__ = []

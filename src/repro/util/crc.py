@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from binascii import crc_hqx as _crc_hqx
 
-__all__ = ["crc16_ccitt", "crc16_ccitt_bitserial", "Crc16"]
+__all__ = ["crc16_ccitt", "crc16_ccitt_bitserial"]
 
 _POLY = 0x1021
 
@@ -48,20 +48,3 @@ def crc16_ccitt_bitserial(data: bytes, init: int = 0xFFFF) -> int:
 def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE of ``data`` (poly 0x1021, MSB-first, init 0xFFFF)."""
     return _crc_hqx(data, init & 0xFFFF)
-
-
-class Crc16:
-    """Incremental CRC-16/CCITT-FALSE for streaming use."""
-
-    def __init__(self, init: int = 0xFFFF):
-        self._crc = init & 0xFFFF
-
-    def update(self, data: bytes) -> "Crc16":
-        """Absorb more bytes; returns self for chaining."""
-        self._crc = crc16_ccitt(data, init=self._crc)
-        return self
-
-    @property
-    def value(self) -> int:
-        """Current CRC value."""
-        return self._crc
