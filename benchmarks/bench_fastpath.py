@@ -6,7 +6,8 @@ analogue of that speedup.  This bench times both engines end to end
 through the packet codec on a 64 KiB payload (the acceptance workload:
 the fast engine must clear >= 5x on both directions) and a fast-engine
 :meth:`repro.api.Codec.encrypt_packets` on a burst of link-sized
-payloads.  Timing is min-of-N wall clock — the same convention as the
+payloads, and emits (without a gate) the engine hooks' cost per call
+from link-sized to bulk payloads.  Timing is min-of-N wall clock — the same convention as the
 throughput numbers in ``repro.analysis`` — and every artefact lands in
 ``benchmarks/_artifacts/``.
 """
@@ -14,13 +15,18 @@ throughput numbers in ``repro.analysis`` — and every artefact lands in
 import time
 
 from repro.api import Codec
+from repro.core.engines import MHHEA, get_engine
 from repro.core.stream import decrypt_packet, encrypt_packet
+from repro.util.lfsr import Lfsr
 
 #: The acceptance payload: 64 KiB.
 PAYLOAD = bytes(range(256)) * 256
 
 #: Required advantage of the fast engine over the reference.
 MIN_SPEEDUP = 5.0
+
+#: Payload sizes of the per-call table: link-sized to bulk.
+TABLE_SIZES = (16, 64, 1 << 10, 16 << 10)
 
 _NONCE = 0xBEEF
 
@@ -104,3 +110,42 @@ def test_codec_packets_burst(bench_key, emit):
         ]),
     )
     assert t_loose / t_batch >= MIN_SPEEDUP
+
+
+def test_fastpath_size_table(bench_key, emit):
+    """Emit the engine hooks' microseconds per call by payload size; no gate.
+
+    Fast-engine ``embed_bytes``/``extract_bytes`` per call under the
+    bench key, and the speedup over the reference hooks on the same
+    call, at 16 B, 64 B, 1 KiB and 16 KiB: the fixed cost per call
+    shows at the small end, the per-vector kernel at the large end.
+    """
+    params = bench_key.params
+    fast, reference = get_engine("fast"), get_engine("reference")
+    lines = [f"engine hooks, MHHEA, width {params.width}, "
+             f"{len(bench_key)} key pairs (min-of-N)",
+             "payload    embed us  vs ref   extract us  vs ref"]
+    for size in TABLE_SIZES:
+        data = PAYLOAD[:size]
+
+        def embed(engine):
+            return engine.embed_bytes(bench_key, MHHEA, params, data,
+                                      Lfsr(params.width, seed=_NONCE))
+
+        def extract(engine):
+            return engine.extract_bytes(bench_key, MHHEA, params, vectors,
+                                        8 * size)
+
+        repeats = (64 << 10) // size
+        t_embed, vectors = _best_of(lambda: embed(fast), repeats)
+        t_embed_ref, ref_vectors = _best_of(lambda: embed(reference),
+                                            max(1, repeats // 16))
+        assert vectors == ref_vectors
+        t_extract, plain = _best_of(lambda: extract(fast), repeats)
+        t_extract_ref, ref_plain = _best_of(lambda: extract(reference),
+                                            max(1, repeats // 16))
+        assert plain == ref_plain == data
+        lines.append(
+            f"{size:>6} B {t_embed * 1e6:11.1f} {t_embed_ref / t_embed:6.1f}x "
+            f"{t_extract * 1e6:12.1f} {t_extract_ref / t_extract:6.1f}x")
+    emit("fastpath_size_table", "\n".join(lines))

@@ -11,6 +11,7 @@ offload against inline cipher work at 4, 32 and 256 KiB.
 
 import asyncio
 import os
+import statistics
 import time
 
 from repro.analysis.workloads import packet_payloads
@@ -106,32 +107,50 @@ def test_link_pair_throughput(benchmark, bench_key, emit):
     )
 
 
-def test_link_goodput_gate(bench_key, emit):
+def test_link_goodput_gate(bench_key, emit, monkeypatch):
     """CI floor for the link-layer hot path (zero-copy + batched decrypt).
 
     Deliberately free of the pytest-benchmark fixture so the CI
     bench-pipeline job (which installs only pytest) can run it with
-    ``-k goodput``.  Two floors, from the PR that closed the 30x
-    link-vs-core gap:
+    ``-k goodput``.  Two floors:
 
-    * ``goodput_over_core_ratio >= 0.25`` — machine-independent.  An
-      echo round trip costs two encrypts and two decrypts per payload
-      byte, so with the fast engine's ~2x decrypt/encrypt asymmetry the
-      ceiling is ~1/3; a ratio below 0.25 means framing/protocol
-      overhead is eating >25% of the cipher budget again.
+    * ``engine_share >= 0.85`` — machine-independent.  The fast
+      engine's two hooks are timed inside each LinkPair echo, the way
+      perfbench's tracer wraps them, and must take at least 85 % of the
+      echo's wall time: the packet container, CRC, session, framing and
+      protocol may eat at most 15 % of the cipher budget.  The share is
+      a ratio within one run, so it does not move with the host's speed,
+      the session keys or the engine's encrypt/decrypt balance.
     * LinkPair goodput >= 5x the pre-rework baseline (0.0135 MB/s
       measured on the 1-CPU CI-class box that set it).
     """
+    from repro.core.engines import FastEngine
     from repro.link import LinkPair, PayloadReceived
 
     baseline_mb_s = 0.0135  # pre-zero-copy LinkPair goodput (PR 6)
     payloads = [bytes((i + j) % 256 for j in range(4096)) for i in range(16)]
     total = sum(len(p) for p in payloads)
     fast = SessionConfig(engine="fast")
+    engine_s = 0.0
 
-    def linkpair_echo() -> float:
+    def timed(hook):
+        def call(*args):
+            nonlocal engine_s
+            start = time.perf_counter()
+            try:
+                return hook(*args)
+            finally:
+                engine_s += time.perf_counter() - start
+        return call
+
+    for name in ("embed_bytes", "extract_bytes"):
+        monkeypatch.setattr(FastEngine, name, timed(getattr(FastEngine, name)))
+
+    def linkpair_echo() -> tuple[float, float]:
+        nonlocal engine_s
         pair = LinkPair(bench_key, config=fast, session_id=SESSION_ID)
         pair.handshake()
+        engine_s = 0.0
         start = time.perf_counter()
         for payload in payloads:
             pair.initiator.send_payload(payload)
@@ -146,34 +165,26 @@ def test_link_goodput_gate(bench_key, emit):
                     replies.append(event.payload)
         elapsed = time.perf_counter() - start
         assert replies == payloads
-        return total / elapsed / 1e6
+        return total / elapsed / 1e6, engine_s / elapsed
 
-    def core_encrypt() -> float:
-        payload = payloads[0]
-        encrypt_packet(payload, bench_key, nonce=1, engine="fast")  # warm
-        start = time.perf_counter()
-        for nonce in range(1, 9):
-            encrypt_packet(payload, bench_key, nonce=nonce, engine="fast")
-        return len(payload) * 8 / (time.perf_counter() - start) / 1e6
-
-    # Each round takes one echo and one encrypt back to back, so both
-    # bests come from the same host phases; best of 5 rides out a slow one.
-    rounds = [(linkpair_echo(), core_encrypt()) for _ in range(5)]
+    # Best of 5 rides out a slow host phase for the absolute floor; the
+    # share is the median of the same 5 echoes.
+    rounds = [linkpair_echo() for _ in range(5)]
     goodput = max(echo for echo, _ in rounds)
-    core = max(encrypt for _, encrypt in rounds)
-    ratio = goodput / core
+    share = statistics.median(share for _, share in rounds)
     emit(
         "net_link_goodput_gate",
         f"LinkPair goodput {goodput:.4f} MB/s "
         f"({goodput / baseline_mb_s:.1f}x the pre-rework baseline), "
-        f"fast-engine encrypt {core:.4f} MB/s, ratio {ratio:.3f}",
+        f"fast-engine hooks {share:.3f} of echo wall time "
+        f"(overhead {1 - share:.3f})",
     )
     assert goodput >= 5 * baseline_mb_s, (
         f"LinkPair goodput {goodput:.4f} MB/s regressed below 5x the "
         f"pre-rework baseline ({5 * baseline_mb_s:.4f} MB/s)")
-    assert ratio >= 0.25, (
-        f"goodput_over_core_ratio {ratio:.3f} below the 0.25 floor: the "
-        f"link layer is burning cipher budget on overhead again")
+    assert share >= 0.85, (
+        f"engine share {share:.3f} of echo wall time is below the 0.85 "
+        f"floor: the link layer is burning cipher budget on overhead again")
 
 
 def test_link_offload_echo(bench_key, emit):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from repro.core import fastpath
 from repro.core.errors import UnknownEngineError
 from repro.core.key import Key
 from repro.core.params import VectorParams
@@ -149,8 +150,6 @@ class FastEngine(Engine):
 
     @staticmethod
     def _schedule(key, algorithm, params):
-        from repro.core import fastpath
-
         _check_algorithm(algorithm)
         return fastpath.schedule_for(key, algorithm, params)
 

@@ -10,32 +10,42 @@ flat (packets never frame), for MHHEA or plain HHEA.  Bit lists, the
 hardware's half-buffer framing, traces and injected policies live only
 in the reference model.
 
-How it gets its speed (DESIGN.md section 8):
+How it gets its speed (DESIGN.md section 8), mirroring the paper's
+improved core, where separate modules align the message and turn each
+key pair into a window placement so nothing waits on per-bit work:
 
-* **Packed messages** — the plaintext stays a byte buffer with the
-  canonical LSB-first bit order of :func:`repro.util.bits.bytes_to_bits`
-  (bit ``m`` of the stream is bit ``m`` of ``int.from_bytes(data,
-  "little")``), so a whole replacement window is one shift-and-mask.
-* **Compiled key schedules** — each key pair is pre-sorted once into a
-  *pair program*: the scramble-slice offset and mask for the location
-  scramble, and the data-scramble bits of ``K1`` tiled into a
-  ``max_window``-wide word, so embedding a window is a single XOR.
-  Plain HHEA compiles to a zero slice mask and a zero scramble word, so
-  one window formula serves both ciphers.
-* **Leap-table LFSR** — hiding vectors come from
-  :class:`repro.util.lfsr.LeapLfsr`, which jumps the register a whole
-  word per table lookup instead of ``width`` single-bit steps.
+* **Placement tables** (the key cache and comparator) — a window's
+  placement depends only on the sorted key pair and a ``key_bits``-wide
+  slice of the vector's scramble half, so each sorted pair has one
+  table of at most ``half`` entries ``(kn1, budget, window mask, clear
+  mask)``.  The tables for every pair of a ``(params, algorithm)`` are
+  built together on first use and shared by every key: a compiled
+  schedule is only a tuple of references to them, and a new key
+  compiles no table.  Plain HHEA's tables have one entry each.
+* **Message words** (the message alignment module) — the plaintext is
+  expanded once into an :class:`array.array` holding the little-endian
+  word that starts at every byte offset, so the window at message bit
+  ``m`` is ``words[m >> 3] >> (m & 7)``.  Bit ``m`` of the stream is
+  bit ``m`` of ``int.from_bytes(data, "little")``, the canonical
+  LSB-first order of :func:`repro.util.bits.bytes_to_bits`.
+* **One vector supply per call** — a plain register up to 16 bits is
+  stepped by a generator over the leap tables of
+  :func:`repro.util.lfsr._leap_tables`, a wider one by
+  :meth:`repro.util.lfsr.LeapLfsr.next_word`, any other source by its
+  own range-checked ``next_word``.
 
 Equivalence argument: the per-vector state of both engines is
 ``(pair index, vector source state, message cursor)``.  Both consume
 one vector per iteration from the same source sequence (the leap tables
 are sampled from the reference :class:`~repro.util.lfsr.Lfsr` itself),
-compute the same window (the mod-``half`` wrap is one conditional
-subtract since ``kn1, span < half``), and consume the same
-``budget = min(window, remaining)`` bits; replacing the reference's
-per-bit read-XOR-write loop with one masked word XOR is the identity
-``(chunk ^ scramble) & m == XOR of the per-bit scrambles``.  The
-conformance corpus (``tests/core/test_conformance.py``) pins every
+compute the same window (a table entry is the reference formula
+evaluated once per slice value), and embed the same bits: the kernel
+writes a whole window every time and, after the loop, restores the last
+window's bits past the end of the message from the unmodified vector —
+exactly the reference's ``budget = min(window, remaining)``.  Replacing
+the per-bit read-XOR-write loop with one masked word XOR is the
+identity ``(chunk ^ scramble) & m == XOR of the per-bit scrambles``.
+The conformance corpus (``tests/core/test_conformance.py``) pins every
 registered engine to the reference over thousands of seeded cases.
 
 Callers select engines through :mod:`repro.core.engines`, never here.
@@ -45,20 +55,28 @@ purely local — peers never need to agree on it.
 
 from __future__ import annotations
 
+import sys
 import weakref
+from array import array
 from collections.abc import Sequence
+from itertools import cycle
 
 from repro.core.errors import CipherFormatError
 from repro.core.key import Key
 from repro.core.params import VectorParams
 from repro.util.bits import check_uint, mask
-from repro.util.lfsr import LeapLfsr, Lfsr
+from repro.util.lfsr import LeapLfsr, Lfsr, _leap_tables
 
 __all__ = ["HHEA", "MHHEA", "FastSchedule", "schedule_for"]
 
 #: Algorithm names accepted by :func:`schedule_for`.
 MHHEA = "mhhea"
 HHEA = "hhea"
+
+#: ``array`` type codes for the message-word sizes, in bytes.
+_WORD_CODES = {2: "H", 4: "I", 8: "Q"}
+
+_MASK64 = (1 << 64) - 1
 
 
 def _tile_scramble(k1: int, params: VectorParams) -> int:
@@ -75,110 +93,164 @@ def _tile_scramble(k1: int, params: VectorParams) -> int:
     return word
 
 
-def _vector_supply(source, width: int):
-    """Per-vector word supplier; table-driven when ``source`` is a plain Lfsr.
+def _pair_program(k1: int, k2: int, params: VectorParams,
+                  algorithm: str) -> tuple:
+    """The program of one sorted pair: ``(shift, index_mask, table, scramble)``.
 
-    For a plain :class:`~repro.util.lfsr.Lfsr` no wider than the engine
-    (wider registers must go through the checked path so they fail
-    exactly like the reference engine), the supplier advances a
-    :class:`~repro.util.lfsr.LeapLfsr` clone and writes the word back
-    into ``source.state`` — ``next_word`` leaves the register equal to
-    the word it returns, so the caller's source stays in exactly the
-    state the reference engine would have left it in.  Any other source
-    is consulted one ``next_word()`` at a time, range-checked like the
-    reference engine does.
+    A vector ``v`` selects the entry ``table[(v >> shift) & index_mask]``
+    of its window placement.  For MHHEA the index is the scramble slice
+    ``v[k2 + half .. k1 + half]`` cut to its low ``key_bits`` bits, the
+    only ones ``kn1 = (slice ^ k1) & (half - 1)`` reads; each entry is
+    that formula, the mod-``half`` wrap and the masks, computed once.
+    Plain HHEA has no slice: one entry, the sorted pair itself, which
+    never wraps, and a zero scramble word.
     """
-    if source.__class__ is Lfsr and source.width <= width:
-        leap = LeapLfsr.from_lfsr(source)
-        leap_word = leap.next_word
+    half = params.half
+    span = k2 - k1
+    if algorithm == MHHEA:
+        shift, index_mask = k1 + half, mask(span + 1) & (half - 1)
+        starts = [(index ^ k1) & (half - 1) for index in range(index_mask + 1)]
+        scramble = _tile_scramble(k1, params)
+    else:
+        shift, index_mask, starts, scramble = 0, 0, [k1], 0
+    full = mask(params.width)
+    table = []
+    for kn1 in starts:
+        kn2 = kn1 + span
+        if kn2 >= half:
+            kn1, kn2 = kn2 - half, kn1
+        budget = kn2 - kn1 + 1
+        window = mask(budget)
+        table.append((kn1, budget, window, full ^ (window << kn1)))
+    return shift, index_mask, tuple(table), scramble
 
-        def supply() -> int:
-            word = leap_word()
-            source.state = word
-            return word
 
-        return supply
+#: Pair programs of every sorted pair, per (params, algorithm), built on
+#: first use and shared by every key; they hold no key material beyond
+#: the pair values every key draws from.
+_PROGRAMS: dict[tuple[VectorParams, str], dict[tuple[int, int], tuple]] = {}
 
-    def supply() -> int:
-        return check_uint(source.next_word(), width, "hiding vector")
 
-    return supply
+def _programs(params: VectorParams, algorithm: str) -> dict:
+    """The shared programs of every sorted pair, built on first use."""
+    programs = _PROGRAMS.get((params, algorithm))
+    if programs is None:
+        programs = _PROGRAMS[(params, algorithm)] = {
+            (k1, k2): _pair_program(k1, k2, params, algorithm)
+            for k1 in range(params.half) for k2 in range(k1, params.half)
+        }
+    return programs
+
+
+def _word_bytes(params: VectorParams) -> int:
+    """Bytes per message word: a window read at any bit offset fits."""
+    size = 2
+    while 8 * size - 7 < params.max_window:
+        size *= 2
+    return size
+
+
+def _message_words(data, size: int):
+    """The ``size``-byte little-endian word starting at every byte of ``data``.
+
+    Built in C: byte ``j`` of every word is one strided slice assignment
+    of the zero-padded message shifted by ``j``.  Words wider than
+    ``array`` holds (vectors over 64 bits) fall back to a list.
+    """
+    n = len(data)
+    padded = b"".join((data, bytes(size)))
+    if size not in _WORD_CODES:
+        return [int.from_bytes(padded[i:i + size], "little") for i in range(n)]
+    raw = bytearray(n * size)
+    for j in range(size):
+        raw[j::size] = padded[j:j + n]
+    words = array(_WORD_CODES[size], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _leap_words(state: int, low: tuple, high: tuple):
+    """Endless :meth:`Lfsr.next_word` sequence of a register up to 16 bits."""
+    while True:
+        state = low[state & 0xFF] ^ high[state >> 8]
+        yield state
+
+
+def _checked_words(source, width: int):
+    """Endless range-checked ``next_word()`` sequence of any source."""
+    next_word = source.next_word
+    while True:
+        yield check_uint(next_word(), width, "hiding vector")
+
+
+def _vector_supply(source, width: int):
+    """The hiding-vector iterator of one embed call.
+
+    Returns ``(vectors, register)``: ``register`` is ``source`` when it
+    is a plain :class:`Lfsr` no wider than the vectors, whose state the
+    caller writes back as the last vector drawn (``next_word`` leaves
+    the register equal to the word it returns), and ``None`` otherwise.
+    Wider registers take the checked path, so they fail exactly like
+    the reference engine.
+    """
+    if source.__class__ is not Lfsr or source.width > width:
+        return _checked_words(source, width), None
+    if source.width > 16:
+        return iter(LeapLfsr.from_lfsr(source).next_word, None), source
+    chunks = _leap_tables(source.width, source.taps)
+    high = chunks[1][1] if len(chunks) > 1 else (0,)
+    return _leap_words(source.state, chunks[0][1], high), source
 
 
 class FastSchedule:
     """A key schedule compiled for the byte path of one cipher.
 
     Built once per (key, algorithm, params) by :func:`schedule_for` (and
-    cached there), then reused across every packet under that key.  Each
-    pair program is ``(k1, span, slice_low, slice_mask, scramble)``; the
-    window of a vector ``v`` is always
-    ``kn1 = (((v >> slice_low) & slice_mask) ^ k1) & kmask`` and
-    ``kn2 = kn1 + span``, swapped back into range when it wraps.
+    cached there), then reused across every packet under that key.  It
+    holds one shared pair program per key pair (see
+    :func:`_pair_program`), in key order.
     """
 
-    __slots__ = ("width", "half", "_progs", "_masks", "_read_span",
-                 "__weakref__")
+    __slots__ = ("width", "_programs", "_word_bytes", "__weakref__")
 
     def __init__(self, key: Key, params: VectorParams, algorithm: str):
         self.width = params.width
-        self.half = params.half
-        self._masks = tuple(mask(i) for i in range(params.max_window + 1))
-        # Bytes that always cover one window read at any bit offset:
-        # max_window bits plus up to 7 offset bits.
-        self._read_span = (params.max_window + 7) // 8 + 1
-        progs = []
-        for pair in key.pairs:
-            s = pair.sorted()
-            span = s.k2 - s.k1
-            if algorithm == MHHEA:
-                progs.append((s.k1, span, s.k1 + params.scramble_low,
-                              mask(span + 1), _tile_scramble(s.k1, params)))
-            else:
-                # Plain HHEA: no slice, so kn1 = k1 and the window is the
-                # sorted pair, which never wraps; bits go in unmodified.
-                progs.append((s.k1, span, 0, 0, 0))
-        self._progs = tuple(progs)
+        self._word_bytes = _word_bytes(params)
+        shared = _programs(params, algorithm)
+        self._programs = tuple(shared[min(p.k1, p.k2), max(p.k1, p.k2)]
+                               for p in key.pairs)
 
     def embed_bytes(self, data: bytes, source) -> list[int]:
         """Embed ``data`` into fresh vectors drawn from ``source``.
 
-        A window is at most ``max_window`` bits, so any window read fits
-        in a ``_read_span``-byte slice of the buffer — one
-        ``int.from_bytes`` per vector, never a shift of the whole
-        message (big-integer shifts are O(message), which would make the
-        loop quadratic).
+        Every vector takes a whole window of message bits; past the end
+        of the message the words read zeros, and the last vector's
+        window bits beyond the message are restored from the drawn
+        vector once, after the loop.
         """
-        progs = self._progs
-        n_pairs = len(progs)
-        masks = self._masks
-        half = self.half
-        kmask = half - 1
-        span_bytes = self._read_span
-        from_bytes = int.from_bytes
-        supply = _vector_supply(source, self.width)
+        n_bits = len(data) * 8
+        if not n_bits:
+            return []
+        words = _message_words(data, self._word_bytes)
+        supply, register = _vector_supply(source, self.width)
         vectors: list[int] = []
         append = vectors.append
-        n_bits = len(data) * 8
         m = 0
-        i = 0
-        while m < n_bits:
-            k1, span, slice_low, slice_mask, scramble = progs[i % n_pairs]
-            vector = supply()
-            kn1 = (((vector >> slice_low) & slice_mask) ^ k1) & kmask
-            kn2 = kn1 + span
-            if kn2 >= half:
-                kn1, kn2 = kn2 - half, kn1
-            budget = kn2 - kn1 + 1
-            remaining = n_bits - m
-            if budget > remaining:
-                budget = remaining
-            bmask = masks[budget]
-            byte = m >> 3
-            chunk = from_bytes(data[byte : byte + span_bytes], "little") >> (m & 7)
-            window = (chunk ^ scramble) & bmask
-            append((vector & ~(bmask << kn1)) | (window << kn1))
+        for vector, (shift, index_mask, table, scramble) in zip(
+                supply, cycle(self._programs)):
+            kn1, budget, window, clear = table[(vector >> shift) & index_mask]
+            append((vector & clear)
+                   | ((((words[m >> 3] >> (m & 7)) ^ scramble) & window)
+                      << kn1))
             m += budget
-            i += 1
+            if m >= n_bits:
+                break
+        if m > n_bits:
+            past = (window ^ mask(budget - (m - n_bits))) << kn1
+            vectors[-1] ^= (vectors[-1] ^ vector) & past
+        if register is not None:
+            register.state = vector
         return vectors
 
     def extract_bytes(self, vectors: Sequence[int], n_bits: int) -> bytes:
@@ -189,60 +261,57 @@ class FastSchedule:
         raises :class:`CipherFormatError`.  Recovered windows accumulate
         in a small integer that is flushed to the output 64 bits at a
         time, so no operation ever touches more than a couple of machine
-        words — the mirror image of :meth:`embed_bytes`'s windowed reads.
+        words; the loop stops at the vector that completes the message,
+        and the bits it carries past the end are dropped.
         """
         if n_bits < 0:
             raise ValueError(f"n_bits must be non-negative, got {n_bits}")
         if n_bits % 8 != 0:
             raise ValueError(f"bit count {n_bits} is not a multiple of 8")
-        progs = self._progs
-        n_pairs = len(progs)
-        masks = self._masks
-        half = self.half
-        kmask = half - 1
-        wmask = mask(self.width)
+        width = self.width
+        wmask = mask(width)
         out = bytearray()
         acc = 0
         acc_bits = 0
-        got = 0
-        i = 0
-        for vector in vectors:
-            if got >= n_bits:
-                raise CipherFormatError(
-                    f"trailing ciphertext: message complete after {i} "
-                    f"vectors but {len(vectors)} were supplied"
-                )
-            if vector.__class__ is not int or not 0 <= vector <= wmask:
-                check_uint(vector, self.width, "ciphertext vector")
-            k1, span, slice_low, slice_mask, scramble = progs[i % n_pairs]
-            kn1 = (((vector >> slice_low) & slice_mask) ^ k1) & kmask
-            kn2 = kn1 + span
-            if kn2 >= half:
-                kn1, kn2 = kn2 - half, kn1
-            budget = kn2 - kn1 + 1
-            remaining = n_bits - got
-            if budget > remaining:
-                budget = remaining
-            acc |= (((vector >> kn1) ^ scramble) & masks[budget]) << acc_bits
-            acc_bits += budget
-            if acc_bits >= 64:
-                out += (acc & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-                acc >>= 64
-                acc_bits -= 64
-            got += budget
-            i += 1
-        if got < n_bits:
+        need = n_bits  # message bits not yet flushed to ``out``
+        stop = min(need, 64)
+        rest = iter(vectors)
+        if need:
+            for vector, (shift, index_mask, table, scramble) in zip(
+                    rest, cycle(self._programs)):
+                if vector.__class__ is not int or not 0 <= vector <= wmask:
+                    check_uint(vector, width, "ciphertext vector")
+                kn1, budget, window, _ = table[(vector >> shift) & index_mask]
+                acc |= (((vector >> kn1) ^ scramble) & window) << acc_bits
+                acc_bits += budget
+                if acc_bits >= stop:
+                    if acc_bits >= need:
+                        break
+                    out += (acc & _MASK64).to_bytes(8, "little")
+                    acc >>= 64
+                    acc_bits -= 64
+                    need -= 64
+                    stop = min(need, 64)
+        if acc_bits < need:
             raise CipherFormatError(
-                f"truncated ciphertext: recovered {got} of {n_bits} message bits"
+                f"truncated ciphertext: recovered {n_bits - need + acc_bits} "
+                f"of {n_bits} message bits"
             )
-        out += acc.to_bytes((n_bits >> 3) - len(out), "little")
+        left = sum(1 for _ in rest)
+        if left:
+            raise CipherFormatError(
+                f"trailing ciphertext: message complete after "
+                f"{len(vectors) - left} vectors but {len(vectors)} were "
+                f"supplied"
+            )
+        out += (acc & mask(need)).to_bytes(need >> 3, "little")
         return bytes(out)
 
 
-#: Compiled schedules, keyed weakly on the Key: a schedule (which embeds
-#: key-derived material) lives exactly as long as its Key does, so the
-#: session layer's rekey ratchet really retires old epoch keys instead
-#: of leaving them pinned in a global LRU for the process lifetime.
+#: Compiled schedules, keyed weakly on the Key: a schedule lives exactly
+#: as long as its Key does, so the session layer's rekey ratchet really
+#: retires old epoch keys instead of leaving them pinned in a global
+#: LRU for the process lifetime.
 _SCHEDULES: "weakref.WeakKeyDictionary[Key, dict]" = weakref.WeakKeyDictionary()
 
 

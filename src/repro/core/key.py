@@ -76,6 +76,9 @@ class Key:
             normalised.append(pair)
         self.pairs: tuple[KeyPair, ...] = tuple(normalised)
         self.params = params
+        # Keys are looked up in the schedule cache on every engine call,
+        # and hashing the pairs walks up to 16 dataclasses.
+        self._hash = hash((self.pairs, self.params))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -89,7 +92,7 @@ class Key:
         return self.pairs == other.pairs and self.params == other.params
 
     def __hash__(self) -> int:
-        return hash((self.pairs, self.params))
+        return self._hash
 
     def pair(self, i: int) -> KeyPair:
         """Pair used on iteration ``i``: round-robin ``i mod L``."""

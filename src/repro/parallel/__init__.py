@@ -1,6 +1,6 @@
 """``repro.parallel`` — the sharded multi-worker encryption pipeline.
 
-The fast engine made one core ~7x faster; this package scales the hot
+The fast engine made one core ~15-25x faster; this package scales the hot
 path across cores while keeping the wire format bit-for-bit stable:
 
 * :mod:`repro.parallel.pool` — :class:`EncryptionPool`, a resilient

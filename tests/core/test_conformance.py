@@ -27,8 +27,9 @@ failing case; replay it with::
         import test_conformance as t; t.check_case('mhhea-w16-p5-n37-s1a2b')"
 
 The corpus is seeded by ``REPRO_TEST_SEED`` (CI pins it) and holds
-``CASES_PER_WIDTH`` cases per (algorithm, width), about 1000 per
-algorithm.  A registered plugin joins it like the built-ins, and three
+``CASES_PER_WIDTH`` cases per (algorithm, width), 1250 per algorithm
+over widths 4 to 64; width 64 is the one whose windows need 8-byte
+message words.  A registered plugin joins it like the built-ins, and three
 deliberately broken plugins show that the vector, source-state and
 strictness checks each catch their fault.  The RTL cycle model is pinned to the reference separately
 (``tests/rtl``): it implements the hardware's ``frame_bits=width``
@@ -55,7 +56,7 @@ from repro.util.lfsr import PRIMITIVE_TAPS, Lfsr
 SEED = int(os.environ.get("REPRO_TEST_SEED", "20050307"))
 
 ALGORITHMS = engines.ALGORITHM_NAMES
-WIDTHS = (4, 8, 16, 32)
+WIDTHS = (4, 8, 16, 32, 64)
 CASES_PER_WIDTH = 250
 MAX_PAYLOAD = 300
 

@@ -1,8 +1,8 @@
 """Differential checks of the fast engine against the reference beyond
 the conformance corpus (``tests/core/test_conformance.py``).
 
-The leap-table LFSR must replay the reference register, the kernel's one
-window formula must match the reference policies for every key pair and
+The leap-table LFSR must replay the reference register, the kernel's
+placement tables must match the reference policies for every key pair and
 scramble half at small widths, packets and the bytes-level cipher
 classes must be byte-identical across engines, the schedule cache must
 key and release correctly, and a vector source of the wrong width must
@@ -89,14 +89,17 @@ class _CyclingSource:
 
 
 class TestWindowFormula:
-    """The fast kernel's one window formula, for both ciphers, against the
+    """The fast kernel's placement tables, for both ciphers, against the
     reference policies: exhaustive over key pairs and the scramble half.
 
     A window depends only on the (sorted) key pair and the vector's
     scramble half, so at these widths every (pair, scramble half)
     combination is one vector of a single-pair key; the low half is
-    random.  The message is long enough that no window is cut short
-    before every combination has been drawn once.
+    random.  The long message lets every combination be drawn once
+    before any window is cut short; the 1-8-byte payloads end within the
+    first windows, so each pair's last window is also checked where a
+    message ends in its middle (the kernel writes it whole and then
+    restores the bits past the end).
     """
 
     @pytest.mark.parametrize("width", (4, 8, 16))
@@ -112,13 +115,15 @@ class TestWindowFormula:
         for k1 in range(params.half):
             for k2 in range(params.half):
                 key = Key([(k1, k2)], params)
-                ref = reference.embed_bytes(key, algorithm, params, data,
-                                            _CyclingSource(words))
+                for payload in [data[:n] for n in range(1, 9)] + [data]:
+                    ref = reference.embed_bytes(key, algorithm, params,
+                                                payload, _CyclingSource(words))
+                    case = (k1, k2, len(payload))
+                    assert fast.embed_bytes(key, algorithm, params, payload,
+                                            _CyclingSource(words)) == ref, case
+                    assert fast.extract_bytes(key, algorithm, params, ref,
+                                              8 * len(payload)) == payload, case
                 assert len(ref) > len(words)
-                assert fast.embed_bytes(key, algorithm, params, data,
-                                        _CyclingSource(words)) == ref, (k1, k2)
-                assert fast.extract_bytes(key, algorithm, params, ref,
-                                          8 * len(data)) == data, (k1, k2)
 
 
 class TestPacketDifferential:
@@ -174,17 +179,50 @@ class TestScheduleCache:
 
     def test_cache_releases_schedule_with_its_key(self):
         # The rekey ratchet must actually retire epoch keys: once a Key
-        # is garbage collected, its compiled schedule (which embeds
-        # key-derived material) must not linger in the global cache.
+        # is garbage collected, its compiled schedule (which orders the
+        # key's pairs) must not linger in the global cache.  The shared
+        # placement tables hold every sorted pair and no more, so
+        # compiling and collecting a key leaves them exactly as they were.
         import gc
         import weakref
 
+        params = VectorParams(16)
+        fastpath.schedule_for(Key.generate(seed=98), fastpath.MHHEA, params)
+        shared = fastpath._PROGRAMS[(params, fastpath.MHHEA)]
+        before = dict(shared)
+        assert sorted(before) == [(k1, k2) for k1 in range(params.half)
+                                  for k2 in range(k1, params.half)]
         key = Key.generate(seed=99)
         schedule = fastpath.schedule_for(key, fastpath.MHHEA, key.params)
+        assert {id(program) for program in schedule._programs} <= {
+            id(program) for program in before.values()}
         probe = weakref.ref(schedule)
         del schedule, key
         gc.collect()
         assert probe() is None
+        assert fastpath._PROGRAMS[(params, fastpath.MHHEA)] is shared
+        assert shared.keys() == before.keys()
+        assert all(shared[pair] is before[pair] for pair in before)
+
+
+class TestBytesLikePlaintext:
+    """Any bytes-like plaintext embeds to the same vectors (``bytes +
+    memoryview`` raises, so the message words must not be built that
+    way)."""
+
+    @pytest.mark.parametrize("algorithm", engines.ALGORITHM_NAMES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_bytes_bytearray_memoryview_agree(self, algorithm, width):
+        params = VectorParams(width)
+        key = Key.generate(seed=width, n_pairs=16, params=params)
+        data = random.Random(f"{SEED}:byteslike:{width}").randbytes(77)
+        out = {
+            (name, kind.__name__): engines.get_engine(name).embed_bytes(
+                key, algorithm, params, kind(data), Lfsr(width, seed=0x5))
+            for name in engines.registered_engines()
+            for kind in (bytes, bytearray, memoryview)
+        }
+        assert len(set(map(tuple, out.values()))) == 1, out.keys()
 
 
 class TestSourceWidthMismatch:
